@@ -12,6 +12,13 @@
 //
 // Expected shape: the full LotusX ranking clearly beats document order
 // and random; the ablations show each signal carries its scenario.
+//
+// Experiment E14 — cost of the rank stage. One broad query (10^4+
+// matches) on the 10x DBLP corpus, ranked to the served top 20 and in
+// full (k=0). Expected shape: the ranker allocates only the results it
+// returns (the vector plus one Match copy each), so k=20 makes 21
+// allocations whatever the match count and k=0 one per match more. The
+// allocation counts are exact and gated.
 
 #include <cstdio>
 #include <set>
@@ -192,6 +199,36 @@ void RunScenario(std::string_view name, const Scenario& scenario,
   }
 }
 
+/// E14: times Rank alone over a fixed match list at k=20 and k=0, next
+/// to the evaluation that produced the matches.
+void RunRankStage(Table* table) {
+  index::IndexedDocument indexed = bench::MakeDblp(42, 200'000);
+  const std::string query_text = "//dblp//author";
+  twig::TwigQuery query = bench::MustParse(query_text);
+  bench::TimedEval evaluated = bench::TimedEvaluate(indexed, query);
+  const std::vector<twig::Match>& matches = evaluated.result.matches;
+  ranking::Ranker ranker(indexed);
+  for (size_t k : {size_t{20}, size_t{0}}) {
+    ranking::RankingOptions options;
+    options.top_k = k;
+    std::vector<ranking::RankedResult> ranked;
+    bench::AllocPerOp alloc;
+    std::vector<double> samples = bench::SampleMillis(
+        9, [&] { ranked = ranker.Rank(query, matches, options); }, &alloc);
+    bench::BenchJson::Instance().Record(
+        "rank_stage",
+        "query=" + query_text + " k=" + std::to_string(k) +
+            " matches=" + std::to_string(matches.size()),
+        samples, alloc);
+    double rank_ms = samples[samples.size() / 2];
+    table->AddRow({query_text, std::to_string(k),
+                   std::to_string(matches.size()),
+                   std::to_string(ranked.size()), Fmt(evaluated.ms, 3),
+                   Fmt(rank_ms, 3), Fmt(rank_ms / (evaluated.ms + rank_ms), 3),
+                   Fmt(alloc.allocs, 0), Fmt(alloc.bytes, 0)});
+  }
+}
+
 }  // namespace
 }  // namespace lotusx
 
@@ -213,5 +250,15 @@ int main(int argc, char** argv) {
       "\nexpected shape: lotusx-full near the top in both scenarios;\n"
       "content-only wins A but collapses on B, structure-only vice versa;\n"
       "doc-order and random trail far behind in both.\n");
+
+  std::printf("\nE14: rank-stage cost on the 10x DBLP corpus\n\n");
+  lotusx::bench::Table stage({"query", "k", "matches", "kept", "eval ms",
+                              "rank ms", "rank share", "allocs/op",
+                              "bytes/op"});
+  lotusx::RunRankStage(&stage);
+  stage.Print();
+  std::printf(
+      "\nexpected shape: only the returned results allocate: k=20 makes "
+      "21\nallocations whatever the match count, k=0 one per match more.\n");
   return lotusx::bench::WriteJsonIfRequested(argc, argv);
 }

@@ -56,7 +56,7 @@ TermIndex TermIndex::Build(const xml::Document& document) {
 }
 
 const PostingBlocks* TermIndex::PostingsFor(std::string_view term) const {
-  auto it = postings_.find(std::string(term));
+  auto it = postings_.find(term);
   return it == postings_.end() ? nullptr : &it->second.postings;
 }
 
@@ -74,7 +74,7 @@ uint32_t TermIndex::DocFrequency(std::string_view term) const {
 }
 
 uint64_t TermIndex::CollectionFrequency(std::string_view term) const {
-  auto it = postings_.find(std::string(term));
+  auto it = postings_.find(term);
   return it == postings_.end() ? 0 : it->second.collection_frequency;
 }
 

@@ -2,6 +2,7 @@
 #define LOTUSX_INDEX_TERM_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,6 +54,8 @@ class TermIndex {
   size_t num_terms() const { return postings_.size(); }
 
   /// Term frequency of `term` within a specific value node (0 if absent).
+  /// A random-access probe that decodes one block per call; callers
+  /// visiting many nodes in order sweep PostingsFor(term) with a cursor.
   uint32_t TermFrequencyIn(std::string_view term, xml::NodeId node) const;
 
   /// Global completion trie (weights = collection frequency).
@@ -84,7 +87,17 @@ class TermIndex {
     uint64_t collection_frequency = 0;
   };
 
-  std::unordered_map<std::string, PostingList> postings_;
+  /// Hashes std::string and std::string_view alike, so probes with a
+  /// string_view find a term without building a std::string.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
+  std::unordered_map<std::string, PostingList, TermHash, std::equal_to<>>
+      postings_;
   uint32_t num_value_nodes_ = 0;
   Trie term_trie_;
   std::unordered_map<xml::TagId, Trie> tag_tries_;

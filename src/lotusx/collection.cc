@@ -60,10 +60,17 @@ StatusOr<CollectionSearchResult> Collection::Search(
     const SearchOptions& options) const {
   LOTUSX_ASSIGN_OR_RETURN(twig::TwigQuery query,
                           twig::ParseQuery(query_text));
+  // A document contributes at most `top_k` hits to the merged top k, so
+  // each engine ranks only that many.
+  SearchOptions bounded = options;
+  size_t& engine_top_k = bounded.ranking.top_k;
+  if (top_k > 0 && (engine_top_k == 0 || top_k < engine_top_k)) {
+    engine_top_k = top_k;
+  }
   // First pass without rewriting: a query aimed at one document must not
   // be "repaired" into noise on the others. Rewriting kicks in (second
   // pass) only when NO document answers the query as drawn.
-  SearchOptions strict = options;
+  SearchOptions strict = bounded;
   strict.rewrite_on_empty = false;
   CollectionSearchResult merged;
   bool any_hits = false;
@@ -71,7 +78,7 @@ StatusOr<CollectionSearchResult> Collection::Search(
     for (const auto& [name, engine] : engines_) {
       LOTUSX_ASSIGN_OR_RETURN(SearchResult result,
                               engine->Search(query, pass == 0 ? strict
-                                                              : options));
+                                                              : bounded));
       if (!result.rewrites_applied.empty()) {
         merged.rewrites.emplace(name, result.rewrites_applied);
       }
@@ -90,7 +97,10 @@ StatusOr<CollectionSearchResult> Collection::Search(
               if (a.document_name != b.document_name) {
                 return a.document_name < b.document_name;
               }
-              return a.result.output < b.result.output;
+              if (a.result.output != b.result.output) {
+                return a.result.output < b.result.output;
+              }
+              return a.result.match < b.result.match;
             });
   if (top_k > 0 && merged.hits.size() > top_k) merged.hits.resize(top_k);
   return merged;

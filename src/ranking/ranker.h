@@ -1,6 +1,7 @@
 #ifndef LOTUSX_RANKING_RANKER_H_
 #define LOTUSX_RANKING_RANKER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,10 @@ class Ranker {
   RankedResult Score(const twig::TwigQuery& query, const twig::Match& match,
                      const RankingOptions& options = {}) const;
 
-  /// Scores and sorts all matches, best first; deterministic tie-break by
-  /// document order of the output binding. Truncates to top_k when set.
+  /// Scores all matches and returns the best top_k of them (all when 0),
+  /// best first; ties break by document order of the output binding, then
+  /// by Match. Only the returned results are built. Every entry equals
+  /// Score() of its match.
   std::vector<RankedResult> Rank(const twig::TwigQuery& query,
                                  const std::vector<twig::Match>& matches,
                                  const RankingOptions& options = {}) const;
@@ -62,6 +65,11 @@ class Ranker {
  private:
   const index::IndexedDocument& indexed_;
 };
+
+/// Bytes of per-match working memory the calling thread keeps for its
+/// next Rank call. Rank frees it after any list of more than 65,536
+/// matches, so it stays at most 3 MiB however large the lists ranked.
+size_t RetainedScratchBytes();
 
 }  // namespace lotusx::ranking
 

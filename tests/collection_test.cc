@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lotusx/collection.h"
 
 namespace lotusx {
@@ -102,6 +104,30 @@ TEST(CollectionTest, TopKBoundsHits) {
   auto result = collection.Search("//*", /*top_k=*/3);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->hits.size(), 3u);
+}
+
+TEST(CollectionTest, TopKPushdownKeepsMergedHits) {
+  // Each engine ranks only top_k hits; the merged list must equal
+  // ranking everything and truncating afterwards.
+  Collection collection = MakeCollection();
+  for (const char* query : {"//*", R"(//*[~"search"])", "//article/*"}) {
+    SCOPED_TRACE(query);
+    auto all = collection.Search(query, /*top_k=*/0);
+    ASSERT_TRUE(all.ok());
+    for (size_t k = 1; k <= all->hits.size() + 1; ++k) {
+      auto top = collection.Search(query, k);
+      ASSERT_TRUE(top.ok());
+      ASSERT_EQ(top->hits.size(), std::min(k, all->hits.size()));
+      for (size_t i = 0; i < top->hits.size(); ++i) {
+        const CollectionHit& want = all->hits[i];
+        const CollectionHit& got = top->hits[i];
+        EXPECT_EQ(got.document_name, want.document_name);
+        EXPECT_EQ(got.result.output, want.result.output);
+        EXPECT_EQ(got.result.match, want.result.match);
+        EXPECT_EQ(got.result.score, want.result.score);
+      }
+    }
+  }
 }
 
 TEST(CollectionTest, CompleteTagMergesFrequencies) {

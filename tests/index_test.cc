@@ -220,6 +220,22 @@ TEST(TermIndexTest, FrequenciesAndIdfInputs) {
   EXPECT_EQ(terms.TermFrequencyIn("y", postings[1]), 0u);
 }
 
+TEST(TermIndexTest, LookupByNonTerminatedStringView) {
+  Document doc = MustParse("<r><t>x x x y</t><t>x z</t></r>");
+  TermIndex terms = TermIndex::Build(doc);
+  // A view of "x" inside "xyz": no terminator after the term.
+  const std::string buffer = "xyz";
+  std::string_view x(buffer.data(), 1);
+  ASSERT_NE(terms.PostingsFor(x), nullptr);
+  EXPECT_EQ(terms.PostingsFor(x), terms.PostingsFor("x"));
+  EXPECT_EQ(terms.DocFrequency(x), 2u);
+  EXPECT_EQ(terms.CollectionFrequency(x), 4u);
+  EXPECT_EQ(terms.TermFrequencyIn(x, terms.DecodePostings("x")[0]), 3u);
+  EXPECT_EQ(terms.PostingsFor(std::string_view(buffer.data(), 2)), nullptr);
+  EXPECT_EQ(terms.CollectionFrequency(std::string_view(buffer.data(), 2)),
+            0u);
+}
+
 TEST(TermIndexTest, PerTagTries) {
   Document doc = MustParse(kSample);
   TermIndex terms = TermIndex::Build(doc);
