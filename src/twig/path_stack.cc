@@ -1,5 +1,7 @@
 #include "twig/path_stack.h"
 
+#include <algorithm>
+
 #include "common/timer.h"
 #include "twig/candidates.h"
 #include "twig/stack_common.h"
@@ -38,6 +40,14 @@ StatusOr<QueryResult> PathStackEvaluate(
     result.stats.candidates_scanned +=
         streams[static_cast<size_t>(q)].count();
   }
+  // Every query node binds in every match: an empty stream means an
+  // empty answer.
+  if (std::any_of(streams.begin(), streams.end(),
+                  [](const CandidateStream& s) { return s.AtEnd(); })) {
+    FillPostingStats(*ctx, &result.stats);
+    result.stats.elapsed_ms = timer.ElapsedMillis();
+    return result;
+  }
   std::vector<QueryNodeId> path = query.RootToLeafPaths().front();
   QueryNodeId leaf = path.back();
   SolutionTable solutions;
@@ -64,9 +74,12 @@ StatusOr<QueryResult> PathStackEvaluate(
 
     QueryNodeId parent = query.node(qmin).parent;
     // An element whose parent stack is empty cannot extend to the root;
-    // pushing it would only grow the stack uselessly.
+    // neither can any later one before the parent stream's head.
     if (parent != kInvalidQueryNode &&
         stacks[static_cast<size_t>(parent)].empty()) {
+      internal_stack::SkipPastUnreachable(
+          &streams[static_cast<size_t>(qmin)], element,
+          streams[static_cast<size_t>(parent)]);
       continue;
     }
     internal_stack::PushStackEntry(

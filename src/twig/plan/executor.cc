@@ -44,6 +44,34 @@ const OperatorMetrics& MetricsFor(OperatorKind kind) {
   return table[static_cast<size_t>(kind)];
 }
 
+/// Process-wide posting-access counters (lotusx_postings_*_total), fed
+/// from each query's EvalContext. Registered once, like MetricsFor.
+struct PostingMetrics {
+  metrics::Counter* blocks_decoded = nullptr;
+  metrics::Counter* blocks_skipped = nullptr;
+  metrics::Counter* bytes_decoded = nullptr;
+};
+
+const PostingMetrics& PostingMetricsTable() {
+  static const PostingMetrics table = [] {
+    metrics::Registry& registry = metrics::Registry::Default();
+    return PostingMetrics{
+        registry.GetCounter("lotusx_postings_blocks_decoded_total"),
+        registry.GetCounter("lotusx_postings_blocks_skipped_total"),
+        registry.GetCounter("lotusx_postings_bytes_decoded_total")};
+  }();
+  return table;
+}
+
+/// lotusx_postings_decode_usec_total, registered on the first query that
+/// times its decodes (EXPLAIN analyze), as before.
+metrics::Counter* DecodeUsecCounter() {
+  static metrics::Counter* const counter =
+      metrics::Registry::Default().GetCounter(
+          "lotusx_postings_decode_usec_total");
+  return counter;
+}
+
 }  // namespace
 
 StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
@@ -186,16 +214,13 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
       op_metrics.rows->Increment(op.actual_rows_out);
       op_metrics.usec->Increment(static_cast<uint64_t>(op.actual_ms * 1e3));
     }
-    metrics::Registry& registry = metrics::Registry::Default();
-    registry.GetCounter("lotusx_postings_blocks_decoded_total")
-        ->Increment(ctx.postings.blocks_decoded);
-    registry.GetCounter("lotusx_postings_blocks_skipped_total")
-        ->Increment(ctx.postings.blocks_skipped);
-    registry.GetCounter("lotusx_postings_bytes_decoded_total")
-        ->Increment(ctx.postings.bytes_decoded);
+    const PostingMetrics& postings = PostingMetricsTable();
+    postings.blocks_decoded->Increment(ctx.postings.blocks_decoded);
+    postings.blocks_skipped->Increment(ctx.postings.blocks_skipped);
+    postings.bytes_decoded->Increment(ctx.postings.bytes_decoded);
     if (ctx.postings.time_decodes) {
-      registry.GetCounter("lotusx_postings_decode_usec_total")
-          ->Increment(static_cast<uint64_t>(ctx.postings.decode_ms * 1e3));
+      DecodeUsecCounter()->Increment(
+          static_cast<uint64_t>(ctx.postings.decode_ms * 1e3));
     }
   }
 

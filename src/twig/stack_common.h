@@ -1,9 +1,12 @@
 #ifndef LOTUSX_TWIG_STACK_COMMON_H_
 #define LOTUSX_TWIG_STACK_COMMON_H_
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/invariant.h"
+#include "twig/candidate_stream.h"
 #include "twig/path_merge.h"
 #include "twig/twig_query.h"
 #include "xml/dom.h"
@@ -30,6 +33,26 @@ inline void CleanStack(const xml::Document& document, Stack* stack,
          document.node(stack->back().element).subtree_end < next_start) {
     stack->pop_back();
   }
+}
+
+/// Head of `stream`, or +infinity (kStreamEnd) once it is exhausted.
+inline constexpr xml::NodeId kStreamEnd =
+    std::numeric_limits<xml::NodeId>::max();
+inline xml::NodeId HeadOrEnd(const CandidateStream& stream) {
+  return stream.AtEnd() ? kStreamEnd : stream.Key();
+}
+
+/// Discards `element` (the head of `stream`, or the element just read
+/// from it) whose parent query node's stack is empty, jumping `stream`
+/// to max(element + 1, head of `parent_stream`) — to the end when that
+/// stream is exhausted. No open parent entry contains an element before
+/// the parent's head, and every parent element pushed later starts at or
+/// after that head, so no element of `stream` before it can ever be
+/// pushed. "At or after": a query repeating a tag (//a//a) may push one
+/// element on both stacks.
+inline void SkipPastUnreachable(CandidateStream* stream, xml::NodeId element,
+                                const CandidateStream& parent_stream) {
+  stream->SeekGE(std::max(element + 1, HeadOrEnd(parent_stream)));
 }
 
 /// Pushes `element` onto `stack`, recording how much of `parent_stack`

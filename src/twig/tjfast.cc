@@ -185,6 +185,13 @@ QueryResult TjFastEvaluate(
     // coincide, which they cannot; still, keep the rows sorted for a
     // deterministic merge.
     solutions[p].SortRows();
+    // Every path must join into a match: once one has no solutions the
+    // answer is empty, and the remaining leaf streams go unread.
+    if (solutions[p].num_rows() == 0) {
+      FillPostingStats(*ctx, &result.stats);
+      result.stats.elapsed_ms = timer.ElapsedMillis();
+      return result;
+    }
   }
 
   MergeOptions merge_options;

@@ -1,6 +1,6 @@
 #include "twig/twig_stack.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/timer.h"
 #include "twig/candidates.h"
@@ -13,9 +13,11 @@ namespace lotusx::twig {
 namespace {
 
 using internal_stack::CleanStack;
+using internal_stack::kStreamEnd;
 using internal_stack::Stack;
 
-constexpr xml::NodeId kExhausted = std::numeric_limits<xml::NodeId>::max();
+/// Stream tag of a "*" query node: any element.
+constexpr xml::TagId kAnyElement = -2;
 
 /// Runtime state of one TwigStack execution.
 class TwigStackRun {
@@ -30,12 +32,16 @@ class TwigStackRun {
         integrate_order_(integrate_order),
         stacks_(static_cast<size_t>(query.size())) {
     streams_.reserve(static_cast<size_t>(query.size()));
+    stream_tags_.reserve(static_cast<size_t>(query.size()));
     for (QueryNodeId q = 0; q < query.size(); ++q) {
       streams_.push_back(OpenCandidates(
           indexed, query, q, ctx,
           schema_bindings == nullptr
               ? nullptr
               : &(*schema_bindings)[static_cast<size_t>(q)]));
+      const std::string& tag = query.node(q).tag;
+      stream_tags_.push_back(tag == "*" ? kAnyElement
+                                        : document_.FindTag(tag));
     }
     paths_ = query.RootToLeafPaths();
     // Leaf -> index of its root-to-leaf path.
@@ -56,6 +62,14 @@ class TwigStackRun {
     result.stats.algorithm = "twigstack";
     for (const CandidateStream& stream : streams_) {
       result.stats.candidates_scanned += stream.count();
+    }
+    // Every query node binds in every match: an empty stream means an
+    // empty answer, without running the join.
+    if (std::any_of(streams_.begin(), streams_.end(),
+                    [](const CandidateStream& s) { return s.AtEnd(); })) {
+      FillPostingStats(*ctx_, &result.stats);
+      result.stats.elapsed_ms = timer.ElapsedMillis();
+      return result;
     }
 
     while (!End(query_.root())) {
@@ -81,7 +95,9 @@ class TwigStackRun {
           stacks_[static_cast<size_t>(q)].pop_back();
         }
       } else {
-        Advance(q);
+        internal_stack::SkipPastUnreachable(
+            &streams_[static_cast<size_t>(q)], element,
+            streams_[static_cast<size_t>(parent)]);
       }
     }
 
@@ -104,14 +120,13 @@ class TwigStackRun {
   bool Exhausted(QueryNodeId q) const {
     return streams_[static_cast<size_t>(q)].AtEnd();
   }
-  /// Current element, or kExhausted as +infinity sentinel.
+  /// Current element, or kStreamEnd as +infinity sentinel.
   xml::NodeId Current(QueryNodeId q) const {
-    return Exhausted(q) ? kExhausted
-                        : streams_[static_cast<size_t>(q)].Key();
+    return internal_stack::HeadOrEnd(streams_[static_cast<size_t>(q)]);
   }
   /// End of the current element's subtree (+infinity when exhausted).
   xml::NodeId CurrentEnd(QueryNodeId q) const {
-    return Exhausted(q) ? kExhausted
+    return Exhausted(q) ? kStreamEnd
                         : document_.node(Current(q)).subtree_end;
   }
   void Advance(QueryNodeId q) { streams_[static_cast<size_t>(q)].Next(); }
@@ -154,9 +169,31 @@ class TwigStackRun {
     CHECK(n_min != kInvalidQueryNode) << "GetNext on dead subtree";
     // Skip q's elements that end before the latest live child head begins
     // — they cannot contain all child heads.
-    while (CurrentEnd(q) < Current(n_max)) Advance(q);
+    const xml::NodeId latest = Current(n_max);
+    if (CurrentEnd(q) < latest) {
+      streams_[static_cast<size_t>(q)].SeekGE(TopmostHolder(q, latest));
+      while (CurrentEnd(q) < latest) Advance(q);
+    }
     if (Current(q) < Current(n_min)) return q;
     return n_min;
+  }
+
+  /// The topmost node on `t`'s ancestor-or-self chain that q's stream
+  /// could hold (q's tag, or any element for "*"); `t` when there is
+  /// none. Every stream element before it ends before `t`: one that did
+  /// not would be a higher ancestor of `t` with q's tag.
+  xml::NodeId TopmostHolder(QueryNodeId q, xml::NodeId t) const {
+    const xml::TagId tag = stream_tags_[static_cast<size_t>(q)];
+    xml::NodeId topmost = t;
+    for (xml::NodeId x = t; x != xml::kInvalidNodeId;
+         x = document_.node(x).parent) {
+      const xml::Document::Node& node = document_.node(x);
+      if (tag == kAnyElement ? node.kind == xml::NodeKind::kElement
+                             : node.tag == tag) {
+        topmost = x;
+      }
+    }
+    return topmost;
   }
 
   void MoveStreamToStack(QueryNodeId q) {
@@ -173,6 +210,7 @@ class TwigStackRun {
   EvalContext* ctx_;
   bool integrate_order_;
   std::vector<CandidateStream> streams_;
+  std::vector<xml::TagId> stream_tags_;  // q's tag; kAnyElement for "*"
   std::vector<Stack> stacks_;
   std::vector<std::vector<QueryNodeId>> paths_;
   std::vector<int> path_of_leaf_;

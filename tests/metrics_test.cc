@@ -8,6 +8,10 @@
 
 #include "common/logging.h"
 #include "common/trace.h"
+#include "datagen/datagen.h"
+#include "index/indexed_document.h"
+#include "twig/plan/physical_plan.h"
+#include "twig/query_parser.h"
 
 namespace lotusx::metrics {
 namespace {
@@ -173,6 +177,51 @@ TEST(MetricsTest, ResetForTestZeroesButKeepsRegistrations) {
   EXPECT_EQ(histogram->count(), 0u);
   // Same pointer after reset.
   EXPECT_EQ(registry.GetCounter("lotusx_n_total"), counter);
+}
+
+TEST(MetricsTest, PlanExecutionFeedsThePostingCounters) {
+  // One analyzed plan execution adds its posting-access counters to the
+  // four lotusx_postings_* families of the default registry.
+  bool was_enabled = SetEnabled(true);
+  datagen::DblpOptions options;
+  options.num_publications = 300;
+  index::IndexedDocument indexed(datagen::GenerateDblp(options));
+  auto query = twig::ParseQuery("//article[author]/title");
+  ASSERT_TRUE(query.ok());
+  twig::plan::PlannerHints hints;
+  hints.algorithm = twig::Algorithm::kTwigStack;
+  auto plan = twig::plan::Planner(indexed).Plan(*query, hints);
+  ASSERT_TRUE(plan.ok());
+
+  Registry& registry = Registry::Default();
+  MetricsSnapshot before = registry.Snapshot();
+  twig::plan::ExecuteOptions execute;
+  execute.analyze = true;
+  auto result = twig::plan::ExecutePlan(indexed, &*plan, execute);
+  ASSERT_TRUE(result.ok());
+  MetricsSnapshot after = registry.Snapshot();
+  SetEnabled(was_enabled);
+
+  const twig::EvalStats& stats = result->stats;
+  EXPECT_GT(stats.posting_blocks_decoded, 0u);
+  auto delta = [&](std::string_view name) {
+    return after.CounterTotal(name) - before.CounterTotal(name);
+  };
+  EXPECT_EQ(delta("lotusx_postings_blocks_decoded_total"),
+            stats.posting_blocks_decoded);
+  EXPECT_EQ(delta("lotusx_postings_blocks_skipped_total"),
+            stats.posting_blocks_skipped);
+  EXPECT_EQ(delta("lotusx_postings_bytes_decoded_total"),
+            stats.posting_bytes_decoded);
+  std::string text = registry.RenderText();
+  for (std::string_view family :
+       {"lotusx_postings_blocks_decoded_total",
+        "lotusx_postings_blocks_skipped_total",
+        "lotusx_postings_bytes_decoded_total",
+        "lotusx_postings_decode_usec_total"}) {
+    EXPECT_NE(text.find(std::string(family) + " "), std::string::npos)
+        << family << "\n" << text;
+  }
 }
 
 // ------------------------------------------------------------ contention

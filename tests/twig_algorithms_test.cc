@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "tests/test_util.h"
 #include "twig/evaluator.h"
@@ -176,6 +180,175 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// ------------------------------------- differential tests on long streams
+//
+// The holistic joins seek through their streams (past elements that
+// cannot join, straight to the end on an empty stream). These corpora
+// are large enough that every queried tag spans at least eight posting
+// blocks, so the seeks cross block boundaries; the binary structural
+// join, which reads every stream in full, is the reference.
+
+/// DBLP corpus where article, author, title, year, journal and booktitle
+/// streams each span at least eight 128-entry posting blocks.
+const index::IndexedDocument& LongDblp() {
+  static const index::IndexedDocument indexed = [] {
+    datagen::DblpOptions options;
+    options.num_publications = 4000;
+    options.seed = 11;
+    return index::IndexedDocument(datagen::GenerateDblp(options));
+  }();
+  return indexed;
+}
+
+/// Treebank corpus with recursive np/pp/vp streams of at least eight
+/// blocks each.
+const index::IndexedDocument& LongTreebank() {
+  static const index::IndexedDocument indexed = [] {
+    datagen::TreebankOptions options;
+    options.num_sentences = 300;
+    options.seed = 5;
+    return index::IndexedDocument(datagen::GenerateTreebank(options));
+  }();
+  return indexed;
+}
+
+size_t StreamBlocks(const index::IndexedDocument& indexed,
+                    std::string_view tag) {
+  xml::TagId id = indexed.document().FindTag(tag);
+  return id == xml::kInvalidTagId ? 0
+                                  : indexed.tag_streams().blocks(id).size();
+}
+
+/// The title word occurring in the fewest titles (the alphabetically
+/// first on ties): the rare `~` keyword of the rewriter's relaxations.
+std::string RareTitleWord(const index::IndexedDocument& indexed) {
+  const xml::Document& document = indexed.document();
+  std::map<std::string, int> counts;
+  xml::TagId title = document.FindTag("title");
+  for (xml::NodeId id = 0; id < document.num_nodes(); ++id) {
+    if (document.node(id).kind != xml::NodeKind::kElement ||
+        document.node(id).tag != title) {
+      continue;
+    }
+    std::vector<std::string> tokens =
+        TokenizeKeywords(document.ContentString(id));
+    std::sort(tokens.begin(), tokens.end());
+    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    for (const std::string& token : tokens) ++counts[token];
+  }
+  auto rarest = std::min_element(
+      counts.begin(), counts.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  EXPECT_NE(rarest, counts.end());
+  return rarest == counts.end() ? "" : rarest->first;
+}
+
+QueryResult MustEvaluate(const index::IndexedDocument& indexed,
+                         const TwigQuery& query, Algorithm algorithm) {
+  EvalOptions options;
+  options.algorithm = algorithm;
+  auto result = Evaluate(indexed, query, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::move(result).value() : QueryResult{};
+}
+
+/// TwigStack, TJFast and (on paths) PathStack return exactly the
+/// structural join's matches.
+void ExpectHolisticJoinsAgree(const index::IndexedDocument& indexed,
+                              std::string_view query_text) {
+  SCOPED_TRACE(std::string(query_text));
+  TwigQuery query = Q(query_text);
+  std::vector<Match> expected =
+      MustEvaluate(indexed, query, Algorithm::kStructuralJoin).matches;
+  EXPECT_EQ(MustEvaluate(indexed, query, Algorithm::kTwigStack).matches,
+            expected);
+  EXPECT_EQ(MustEvaluate(indexed, query, Algorithm::kTJFast).matches,
+            expected);
+  if (query.IsPath()) {
+    EXPECT_EQ(MustEvaluate(indexed, query, Algorithm::kPathStack).matches,
+              expected);
+  }
+}
+
+TEST(MultiBlockStreamTest, RewriteShapesOnDblp) {
+  const index::IndexedDocument& indexed = LongDblp();
+  for (std::string_view tag :
+       {"article", "author", "title", "year", "journal", "booktitle"}) {
+    ASSERT_GE(StreamBlocks(indexed, tag), 8u) << tag;
+  }
+  const std::string rare = RareTitleWord(indexed);
+  const std::string keyword = "[~\"" + rare + "\"]";
+  const std::string equals = "[=\"" + rare + "\"]";
+  for (const std::string& query : {
+           // A rare keyword next to a common branch.
+           "//article[title" + keyword + "]/author",
+           "//dblp/*[title" + keyword + "]//author",
+           "//article/title" + keyword,
+           // Impossible branch, equality miss, unknown tag.
+           std::string("//article[booktitle]/author"),
+           "//article[title" + equals + "]/author",
+           std::string("//article[year[=\"1850\"]]/title"),
+           std::string("//article[ear]/author"),
+           std::string("//dblp//ear"),
+           // Wildcard steps and an ordered node.
+           std::string("//dblp/*[author]/title"),
+           std::string("//*[booktitle]//author"),
+           std::string("//article/*"),
+           std::string("//article[ordered][author][title]"),
+           std::string("//*[ordered][title][year]"),
+           // Common twigs and paths.
+           std::string("//article[author]/title"),
+           std::string("//dblp//article[journal]/year"),
+           std::string("//inproceedings/booktitle"),
+           std::string("//dblp//author"),
+       }) {
+    ExpectHolisticJoinsAgree(indexed, query);
+  }
+}
+
+TEST(MultiBlockStreamTest, SameTagRecursionOnTreebank) {
+  const index::IndexedDocument& indexed = LongTreebank();
+  for (std::string_view tag : {"np", "pp", "vp"}) {
+    ASSERT_GE(StreamBlocks(indexed, tag), 8u) << tag;
+  }
+  for (std::string_view query :
+       {"//np//np", "//np[np]//np", "//np//np//np", "//s//np[pp]//np",
+        "//vp/np//pp", "//s[vp]//np", "//np/*", "//*[np]/pp",
+        "//pp[ordered][np][np]"}) {
+    ExpectHolisticJoinsAgree(indexed, query);
+  }
+}
+
+TEST(MultiBlockStreamTest, SelectiveTwigSeeksPastUnusedBlocks) {
+  // article, author and title together span well over a hundred blocks.
+  // A join that seeks from one rare title to the next decodes a few
+  // blocks per title hit (37 here); one that scans decodes every article
+  // and author block (103).
+  const index::IndexedDocument& indexed = LongDblp();
+  ASSERT_GE(StreamBlocks(indexed, "article") + StreamBlocks(indexed, "author"),
+            80u);
+  TwigQuery query =
+      Q("//article[title[~\"" + RareTitleWord(indexed) + "\"]]/author");
+  QueryResult result = MustEvaluate(indexed, query, Algorithm::kTwigStack);
+  EXPECT_LE(result.stats.posting_blocks_decoded, 60u);
+  EXPECT_GT(result.stats.posting_blocks_skipped, 0u);
+}
+
+TEST(MultiBlockStreamTest, EmptyStreamStopsBeforeTheJoin) {
+  const index::IndexedDocument& indexed = LongDblp();
+  for (Algorithm algorithm : {Algorithm::kTwigStack, Algorithm::kTJFast}) {
+    QueryResult result =
+        MustEvaluate(indexed, Q("//article[ear]/author"), algorithm);
+    EXPECT_TRUE(result.matches.empty());
+    EXPECT_EQ(result.stats.intermediate_tuples, 0u)
+        << AlgorithmName(algorithm);
+  }
+  QueryResult path =
+      MustEvaluate(indexed, Q("//article//ear"), Algorithm::kPathStack);
+  EXPECT_TRUE(path.matches.empty());
+  EXPECT_EQ(path.stats.intermediate_tuples, 0u);
+}
 
 // ------------------------------------------------- evaluator-level tests
 
