@@ -335,13 +335,25 @@ int Run(int argc, char** argv) {
   // Interleaving (on, off, on, off, ...) cancels slow machine drift
   // that running all of one twin first would fold into the comparison;
   // the fastest trial of each twin is the closest observable to the
-  // machine's actual capacity for that variant.
+  // machine's actual capacity for that variant. One discarded warm-up
+  // run comes first, and each trial starts the rotation one variant
+  // later, so no variant is always the one that runs on a cold process
+  // (first connections, first allocations, cold caches).
+  std::printf("warm-up: %zu connections x %zu pipelined commands "
+              "(discarded)...\n",
+              connections, commands_per_conn);
+  {
+    std::vector<double> warmup_samples;
+    RunOnce(indexed, connections, commands_per_conn, window,
+            &warmup_samples);
+  }
   const int trials = SmokeMode() ? 1 : 3;
   const size_t num_variants = sizeof(variants) / sizeof(variants[0]);
   std::vector<double> best_wall(num_variants, 0);
   std::vector<std::vector<double>> best_samples(num_variants);
   for (int trial = 0; trial < trials; ++trial) {
-    for (size_t v = 0; v < num_variants; ++v) {
+    for (size_t i = 0; i < num_variants; ++i) {
+      const size_t v = (i + static_cast<size_t>(trial)) % num_variants;
       const Variant& variant = variants[v];
       std::printf("driving %zu connections x %zu pipelined commands "
                   "(window %zu, trial %d/%d, %s)...\n",

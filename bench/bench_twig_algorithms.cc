@@ -100,6 +100,17 @@ const std::vector<Workload>& TreebankWorkloads() {
   return workloads;
 }
 
+/// Path queries, run on every algorithm including PathStack: once the
+/// one-path merge is a pass-through, PathStack and TwigStack do the same
+/// work on a path, and these rows show whether PathStack still earns
+/// its place.
+const std::vector<Workload>& TreebankPathWorkloads() {
+  static const std::vector<Workload> workloads = {
+      {"recursive-path", "//np//np"},
+  };
+  return workloads;
+}
+
 const std::vector<Workload>& XmarkWorkloads() {
   static const std::vector<Workload> workloads = {
       {"recursive-ad", "//listitem//text"},
@@ -170,16 +181,16 @@ int main(int argc, char** argv) {
                   indexed.document().num_nodes());
       lotusx::RunCorpus("xmark", indexed, lotusx::XmarkWorkloads(), &table);
     }
-    {
-      lotusx::index::IndexedDocument indexed =
-          lotusx::bench::MakeTreebank(3, nodes / 2);
-      std::printf("--- treebank, %d nodes ---\n",
-                  indexed.document().num_nodes());
-      lotusx::RunCorpus("treebank", indexed, lotusx::TreebankWorkloads(),
-                        &table);
-    }
+    lotusx::index::IndexedDocument treebank =
+        lotusx::bench::MakeTreebank(3, nodes / 2);
+    std::printf("--- treebank, %d nodes ---\n",
+                treebank.document().num_nodes());
+    lotusx::RunCorpus("treebank", treebank, lotusx::TreebankWorkloads(),
+                      &table);
     // Last, so the --json records of the rows above keep their ordinals.
     lotusx::RunCorpus("dblp", dblp, lotusx::RewriteWorkloads(dblp), &table);
+    lotusx::RunCorpus("treebank", treebank, lotusx::TreebankPathWorkloads(),
+                      &table);
     table.Print();
     std::printf("\n");
   }
@@ -192,6 +203,8 @@ int main(int argc, char** argv) {
       "On twig-keyword twigstack decodes a few blocks per rare title;\n"
       "on twig-impossible its getNext seeks past every article without\n"
       "a booktitle, and twig-equals-miss has an empty stream, which ends\n"
-      "twigstack and tjfast before the join (intermed 0).\n");
+      "twigstack and tjfast before the join (intermed 0). On the path\n"
+      "rows (path-ad, recursive-path) twigstack and pathstack scan and\n"
+      "decode the same; only the merge differs.\n");
   return lotusx::bench::WriteJsonIfRequested(argc, argv);
 }

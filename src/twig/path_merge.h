@@ -34,19 +34,23 @@ struct SolutionTable {
   void AppendRow(const xml::NodeId* src) {
     rows.insert(rows.end(), src, src + stride);
   }
-  /// Lexicographic row sort (permutation + gather, not per-row swaps).
-  void SortRows();
 };
 
 /// Joins per-root-to-leaf-path solution tables into complete twig matches.
 /// `paths[i]` lists the query nodes of path i (root first) and
 /// `solutions[i]` its binding rows (stride == paths[i].size(), columns
-/// aligned with `paths[i]`). Paths are joined left to right with a
-/// sort-based equi-join on the query nodes they share with the
-/// already-joined prefix (at least the query root, typically the common
-/// branch prefix). This is the merge phase of TwigStack and of the
-/// TJFast-style evaluator. `join_tuples`, when non-null, accumulates the
-/// number of tuples materialized across all join steps.
+/// aligned with `paths[i]`), in any row order: a table is checked for
+/// root-first order once and sorted only when it is out of order. Paths
+/// are joined left to right with an ordered merge on the query nodes they
+/// share with the already-joined prefix (at least the query root,
+/// typically the common branch prefix): the accumulated tuples are walked
+/// in order and each finds its run of path rows with a forward cursor
+/// (binary search when the shared nodes are not the tuples' leading
+/// columns). Matches come back deduplicated in canonical order, sorted
+/// only when the query's node ids are not in the join's column order.
+/// This is the merge phase of TwigStack, TJFast and (one path, no join)
+/// PathStack. `join_tuples`, when non-null, accumulates the number of
+/// tuples materialized across all join steps.
 std::vector<Match> MergePathSolutions(
     const TwigQuery& query, const std::vector<std::vector<QueryNodeId>>& paths,
     const std::vector<SolutionTable>& solutions, uint64_t* join_tuples,

@@ -4,6 +4,7 @@
 
 #include "common/timer.h"
 #include "twig/candidates.h"
+#include "twig/path_merge.h"
 #include "twig/stack_common.h"
 
 namespace lotusx::twig {
@@ -48,10 +49,11 @@ StatusOr<QueryResult> PathStackEvaluate(
     result.stats.elapsed_ms = timer.ElapsedMillis();
     return result;
   }
-  std::vector<QueryNodeId> path = query.RootToLeafPaths().front();
+  const std::vector<std::vector<QueryNodeId>> paths = query.RootToLeafPaths();
+  const std::vector<QueryNodeId>& path = paths.front();
   QueryNodeId leaf = path.back();
-  SolutionTable solutions;
-  solutions.stride = path.size();
+  std::vector<SolutionTable> solutions(1);
+  solutions[0].stride = path.size();
   std::vector<xml::NodeId> emit_scratch;
 
   while (true) {
@@ -90,24 +92,15 @@ StatusOr<QueryResult> PathStackEvaluate(
       internal_stack::EmitPathSolutions(
           document, query, path, stacks,
           static_cast<int>(stacks[static_cast<size_t>(leaf)].size()) - 1,
-          &emit_scratch, &solutions);
+          &emit_scratch, &solutions[0]);
       stacks[static_cast<size_t>(leaf)].pop_back();
     }
   }
 
-  result.stats.intermediate_tuples = solutions.num_rows();
-  result.matches.reserve(solutions.num_rows());
-  for (size_t r = 0; r < solutions.num_rows(); ++r) {
-    const xml::NodeId* solution = solutions.row(r);
-    Match match;
-    match.bindings.assign(static_cast<size_t>(query.size()),
-                          xml::kInvalidNodeId);
-    for (size_t i = 0; i < path.size(); ++i) {
-      match.bindings[static_cast<size_t>(path[i])] = solution[i];
-    }
-    result.matches.push_back(std::move(match));
-  }
-  std::sort(result.matches.begin(), result.matches.end());
+  result.stats.intermediate_tuples = solutions[0].num_rows();
+  // The one-path merge: orders the rows (when they arrived out of order)
+  // and materializes them as matches, with no join.
+  result.matches = MergePathSolutions(query, paths, solutions, nullptr);
   result.stats.matches = result.matches.size();
   FillPostingStats(*ctx, &result.stats);
   result.stats.elapsed_ms = timer.ElapsedMillis();

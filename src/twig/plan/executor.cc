@@ -1,5 +1,6 @@
 #include <algorithm>
 
+#include "common/invariant.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "twig/candidates.h"
@@ -140,7 +141,15 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
   }
 
   Timer sort_timer;
-  std::sort(result.matches.begin(), result.matches.end());
+  if (plan->algorithm == Algorithm::kStructuralJoin) {
+    std::sort(result.matches.begin(), result.matches.end());
+  } else {
+    // The holistic joins' path merge returns canonical order (DESIGN.md
+    // "Ordered path merge"), and the order filter keeps it.
+    LOTUSX_DCHECK(
+        std::is_sorted(result.matches.begin(), result.matches.end()))
+        << AlgorithmName(plan->algorithm) << " returned unsorted matches";
+  }
   const double sort_ms = sort_timer.ElapsedMillis();
   result.stats.elapsed_ms = total_timer.ElapsedMillis();
 

@@ -181,10 +181,6 @@ QueryResult TjFastEvaluate(
       }
     }
     result.stats.intermediate_tuples += solutions[p].num_rows();
-    // Distinct alignments can yield identical bindings only when depths
-    // coincide, which they cannot; still, keep the rows sorted for a
-    // deterministic merge.
-    solutions[p].SortRows();
     // Every path must join into a match: once one has no solutions the
     // answer is empty, and the remaining leaf streams go unread.
     if (solutions[p].num_rows() == 0) {
