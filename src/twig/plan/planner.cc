@@ -138,7 +138,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   // forced hint is honored verbatim, including kPathStack on a non-path
   // query, which fails at execution exactly as it always has.
   if (hints.algorithm == Algorithm::kAuto) {
-    plan.algorithm = ChooseAlgorithm(indexed_, query);
+    plan.algorithm = ChooseAlgorithm(query, plan.estimate);
     if (plan.algorithm == Algorithm::kPathStack) {
       plan.choice_reason =
           "path query; holistic path join reads each stream once";
@@ -260,8 +260,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     OperatorNode merge;
     merge.kind = OperatorKind::kMergeExpand;
     merge.detail = plan.integrate_order
-                       ? "hash merge; integrated order pruning"
-                       : "hash merge of path solutions";
+                       ? "ordered merge; integrated order pruning"
+                       : "ordered merge of path solutions";
     merge.estimated_rows = match;
     merge.estimated_cost = path_solutions + match;
     merge.children = {top};
@@ -286,7 +286,10 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   sort.kind = OperatorKind::kOutputSort;
   sort.detail = "canonical document order";
   sort.estimated_rows = match;
-  sort.estimated_cost = match;
+  // Only the binary structural join sorts; the holistic joins' path merge
+  // already emits canonical order, which the executor merely asserts.
+  sort.estimated_cost =
+      plan.algorithm == Algorithm::kStructuralJoin ? match : 0;
   sort.children = {top};
   add_op(std::move(sort));
   return plan;

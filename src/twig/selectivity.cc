@@ -124,10 +124,9 @@ SelectivityEstimate EstimateSelectivity(
   return estimate;
 }
 
-Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
-                          const TwigQuery& query) {
+Algorithm ChooseAlgorithm(const TwigQuery& query,
+                          const SelectivityEstimate& estimate) {
   if (query.IsPath()) return Algorithm::kPathStack;
-  SelectivityEstimate estimate = EstimateSelectivity(indexed, query);
   // TJFast reads only the leaf streams but pays a label-decode per
   // element; prefer it when that saves a substantial fraction of the
   // scan. Deep documents make decodes costlier, but depth is bounded in
@@ -137,6 +136,11 @@ Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
     return Algorithm::kTJFast;
   }
   return Algorithm::kTwigStack;
+}
+
+Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
+                          const TwigQuery& query) {
+  return ChooseAlgorithm(query, EstimateSelectivity(indexed, query));
 }
 
 StatusOr<std::string> Explain(const index::IndexedDocument& indexed,
@@ -175,7 +179,7 @@ StatusOr<std::string> Explain(const index::IndexedDocument& indexed,
       out << "      ... " << (paths.size() - 4) << " more\n";
     }
   }
-  Algorithm algorithm = ChooseAlgorithm(indexed, query);
+  Algorithm algorithm = ChooseAlgorithm(query, estimate);
   out << "estimated matches: " << estimate.match_cardinality << "\n";
   out << "streams: total " << estimate.total_stream_size << ", leaves "
       << estimate.leaf_stream_size << "\n";

@@ -51,7 +51,13 @@ SelectivityEstimate EstimateSelectivity(
 /// Cost-based algorithm choice: PathStack for paths; otherwise TJFast
 /// when the query's leaf streams are substantially smaller than the total
 /// streams (its decode work pays off), else TwigStack. This is what
-/// EvalOptions{.algorithm = kAuto} resolves to.
+/// EvalOptions{.algorithm = kAuto} resolves to. Takes the query's
+/// estimate so a caller that already has one (the planner) does not walk
+/// the DataGuide again.
+Algorithm ChooseAlgorithm(const TwigQuery& query,
+                          const SelectivityEstimate& estimate);
+
+/// Same, estimating `query` first.
 Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
                           const TwigQuery& query);
 

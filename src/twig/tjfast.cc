@@ -1,6 +1,7 @@
 #include "twig/tjfast.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/timer.h"
 #include "twig/candidates.h"
@@ -122,24 +123,35 @@ QueryResult TjFastEvaluate(
 
   std::vector<std::vector<QueryNodeId>> paths = query.RootToLeafPaths();
   std::vector<SolutionTable> solutions(paths.size());
+  std::vector<CandidateStream> streams;
+  streams.reserve(paths.size());
   for (size_t p = 0; p < paths.size(); ++p) {
     solutions[p].stride = paths[p].size();
-  }
-  std::vector<labeling::XTagId> tag_path;
-
-  for (size_t p = 0; p < paths.size(); ++p) {
-    const std::vector<QueryNodeId>& path = paths[p];
-    QueryNodeId leaf = path.back();
-    CandidateStream stream = OpenCandidates(
+    QueryNodeId leaf = paths[p].back();
+    streams.push_back(OpenCandidates(
         indexed, query, leaf, ctx,
         schema_bindings == nullptr
             ? nullptr
-            : &(*schema_bindings)[static_cast<size_t>(leaf)]);
-    result.stats.candidates_scanned += stream.count();
+            : &(*schema_bindings)[static_cast<size_t>(leaf)]));
+    result.stats.candidates_scanned += streams[p].count();
+  }
+  // Smallest leaf stream first (ties in query order): its solutions bound
+  // where the later, larger leaf streams can still join.
+  std::vector<size_t> order(paths.size());
+  for (size_t p = 0; p < order.size(); ++p) order[p] = p;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::pair(streams[a].count(), a) < std::pair(streams[b].count(), b);
+  });
+  std::vector<labeling::XTagId> tag_path;
+  std::vector<xml::NodeId> anchors;  // S bindings, ascending
+
+  for (size_t n = 0; n < order.size(); ++n) {
+    const size_t p = order[n];
+    const std::vector<QueryNodeId>& path = paths[p];
+    CandidateStream& stream = streams[p];
     PathAligner aligner(document, query, path);
 
-    for (; !stream.AtEnd(); stream.Next()) {
-      xml::NodeId element = stream.Key();
+    auto visit = [&](xml::NodeId element) {
       // Decode the element's root-to-node tag path from its extended
       // Dewey label alone (this is the TJFast trick: no ancestor streams).
       labeling::ExtendedDeweyStore::DecodeTagPath(
@@ -178,6 +190,50 @@ QueryResult TjFastEvaluate(
           }
         }
         if (!ok) solutions[p].rows.resize(at);
+      }
+    };
+
+    if (n == 0) {
+      for (; !stream.AtEnd(); stream.Next()) visit(stream.Key());
+    } else {
+      // Cross-leaf skip. S, the deepest query node this path shares with
+      // an already-read path, binds in every match to an element that
+      // path's table holds (the table has every solution of its path), and
+      // this path's leaf lies strictly inside S's binding. So only leaf
+      // elements inside the subtree of some S value in that table can
+      // join; the stream seeks from one such subtree to the next. A
+      // repeated or nested anchor finds the stream already past its
+      // subtree and reads nothing.
+      size_t source = order[0];
+      size_t shared = 0;
+      for (size_t m = 0; m < n; ++m) {
+        const std::vector<QueryNodeId>& other = paths[order[m]];
+        size_t common = 0;
+        while (common < path.size() && common < other.size() &&
+               path[common] == other[common]) {
+          ++common;
+        }
+        if (common > shared) {
+          shared = common;
+          source = order[m];
+        }
+      }
+      // Every path starts at the query root, so shared >= 1.
+      const SolutionTable& table = solutions[source];
+      anchors.clear();
+      anchors.reserve(table.num_rows());
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        anchors.push_back(table.row(r)[shared - 1]);
+      }
+      if (!std::is_sorted(anchors.begin(), anchors.end())) {
+        std::sort(anchors.begin(), anchors.end());
+      }
+      for (xml::NodeId anchor : anchors) {
+        if (!stream.SeekGE(anchor + 1)) break;
+        const xml::NodeId last = document.node(anchor).subtree_end;
+        for (; !stream.AtEnd() && stream.Key() <= last; stream.Next()) {
+          visit(stream.Key());
+        }
       }
     }
     result.stats.intermediate_tuples += solutions[p].num_rows();

@@ -18,13 +18,15 @@ namespace lotusx::twig {
 /// Per-path solution lists are then merge-joined (path_merge.h) exactly as
 /// in TwigStack's second phase.
 ///
+/// Paths are read smallest leaf stream first. Every later leaf stream
+/// seeks only into the subtrees of the bindings that an already-read
+/// path's solutions give the deepest query node the two paths share, so
+/// leaf elements that cannot join are never decoded (the paper's
+/// cross-leaf skipping, as a semi-join over the path tables; DESIGN.md
+/// proves the matches unchanged).
+///
 /// Internal-node value predicates, which a leaf label cannot attest, are
 /// verified against the materialized ancestor before a solution is kept.
-///
-/// Simplification vs the paper: the final merge is a hash join on shared
-/// query nodes rather than the paper's set-merge; the headline property —
-/// non-leaf streams are never scanned, so parent-child-rich queries avoid
-/// the TwigStack useless-path problem — is preserved (see DESIGN.md).
 ///
 /// Order constraints are NOT applied here; the evaluator post-filters.
 /// With integrate_order, order constraints are pruned during the merge

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "tests/test_util.h"
+#include "twig/candidates.h"
 #include "twig/evaluator.h"
 #include "twig/query_parser.h"
 
@@ -348,6 +351,338 @@ TEST(MultiBlockStreamTest, EmptyStreamStopsBeforeTheJoin) {
       MustEvaluate(indexed, Q("//article//ear"), Algorithm::kPathStack);
   EXPECT_TRUE(path.matches.empty());
   EXPECT_EQ(path.stats.intermediate_tuples, 0u);
+}
+
+// ------------------------------------------------- TJFast cross-leaf skip
+//
+// TJFast reads the smallest leaf stream first and seeks every later leaf
+// stream only into the subtrees of the bindings an earlier path gives
+// their deepest shared query node. The binary structural join, which
+// reads every stream in full, is the reference on the same multi-block
+// corpora.
+
+/// XMark corpus with recursive parlist/listitem and person/item streams
+/// spanning several posting blocks.
+const index::IndexedDocument& LongXmark() {
+  static const index::IndexedDocument indexed = [] {
+    datagen::XmarkOptions options;
+    options.num_items = 600;
+    options.num_people = 300;
+    options.num_auctions = 300;
+    options.seed = 7;
+    return index::IndexedDocument(datagen::GenerateXmark(options));
+  }();
+  return indexed;
+}
+
+/// TJFast's matches equal the structural join's, with integrated order
+/// pruning on and off and with and without schema-pruned streams.
+void ExpectTjFastAgrees(const index::IndexedDocument& indexed,
+                        const TwigQuery& query) {
+  SCOPED_TRACE(query.ToString());
+  EvalOptions options;
+  options.algorithm = Algorithm::kStructuralJoin;
+  auto expected = Evaluate(indexed, query, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  options.algorithm = Algorithm::kTJFast;
+  for (bool integrate : {false, true}) {
+    // Integrated pruning only acts on order constraints.
+    if (integrate && !query.HasOrderConstraints()) continue;
+    for (bool prune : {false, true}) {
+      options.integrate_order = integrate;
+      options.schema_prune_streams = prune;
+      auto got = Evaluate(indexed, query, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->matches, expected->matches)
+          << "integrate_order=" << integrate << " schema_prune=" << prune;
+    }
+  }
+}
+
+std::vector<xml::NodeId> ElementChildren(const xml::Document& document,
+                                         xml::NodeId element) {
+  std::vector<xml::NodeId> children;
+  for (xml::NodeId child = document.node(element).first_child;
+       child != xml::kInvalidNodeId;
+       child = document.node(child).next_sibling) {
+    if (document.node(child).kind == xml::NodeKind::kElement) {
+      children.push_back(child);
+    }
+  }
+  return children;
+}
+
+/// Appends to `query` below `parent` (bound to `from`) a chain down to a
+/// random element descendant of `from`, keeping each document step as a
+/// query node with probability 1/2 ('//' over skipped steps, '/' or '//'
+/// over direct ones) and writing `*` for a tag now and then. Returns the
+/// last query node and sets `*bound` to its document element; returns
+/// `parent` when `from` has no element children.
+QueryNodeId GrowChain(const xml::Document& document, TwigQuery* query,
+                      QueryNodeId parent, xml::NodeId from, int max_steps,
+                      Random& random, xml::NodeId* bound) {
+  *bound = from;
+  QueryNodeId node = parent;
+  bool skipped = false;
+  for (int step = 0; step < max_steps; ++step) {
+    std::vector<xml::NodeId> children = ElementChildren(document, *bound);
+    if (children.empty()) break;
+    xml::NodeId child = children[random.NextBounded(children.size())];
+    *bound = child;
+    bool last =
+        step + 1 == max_steps || ElementChildren(document, child).empty();
+    if (!last && random.NextBool(0.5)) {
+      skipped = true;
+      continue;
+    }
+    Axis axis = skipped || random.NextBool(0.3) ? Axis::kDescendant
+                                                : Axis::kChild;
+    std::string tag = random.NextBool(0.15)
+                          ? std::string("*")
+                          : std::string(document.TagName(child));
+    node = query->AddChild(node, axis, tag);
+    skipped = false;
+    if (last) break;
+  }
+  return node;
+}
+
+/// Random satisfiable twig grown from one embedding in `indexed`: a root
+/// (`*` now and then; sometimes the '/'-anchored document root), a spine
+/// below it, and two or three leaf branches hung off random spine nodes,
+/// so the deepest node two paths share is often below the root. One leaf
+/// gets a selective predicate from its element's own text half the time,
+/// and a branching node is sometimes ordered.
+TwigQuery RandomSkipTwig(const index::IndexedDocument& indexed,
+                         Random& random) {
+  const xml::Document& document = indexed.document();
+  xml::NodeId root = document.root();
+  const bool anchored = random.NextBool(0.15);
+  if (!anchored) {
+    do {
+      root = static_cast<xml::NodeId>(
+          random.NextBounded(static_cast<uint64_t>(document.num_nodes())));
+    } while (document.node(root).kind != xml::NodeKind::kElement ||
+             ElementChildren(document, root).empty());
+    // Climb a level or two, staying below the document root so that
+    // the matches stay within one record.
+    for (uint64_t up = random.NextBounded(3); up > 0; --up) {
+      xml::NodeId parent = document.node(root).parent;
+      if (parent == xml::kInvalidNodeId || parent == document.root()) break;
+      root = parent;
+    }
+  }
+  TwigQuery query;
+  query.AddRoot(random.NextBool(0.2) ? std::string("*")
+                                     : std::string(document.TagName(root)),
+                anchored ? Axis::kChild : Axis::kDescendant);
+  // Spine nodes branches may hang off: bound elements with element
+  // children, and not the document root once the spine leaves it.
+  std::vector<std::pair<QueryNodeId, xml::NodeId>> spine = {
+      {query.root(), root}};
+  xml::NodeId bound;
+  QueryNodeId tip = GrowChain(document, &query, query.root(), root,
+                              static_cast<int>(anchored) +
+                                  static_cast<int>(random.NextBounded(3)),
+                              random, &bound);
+  if (tip != query.root()) {
+    if (anchored) spine.clear();
+    if (!ElementChildren(document, bound).empty()) {
+      spine.emplace_back(tip, bound);
+    }
+  }
+  if (spine.empty()) return query;  // a path; the caller skips it
+  const uint64_t branches = 2 + random.NextBounded(2);
+  std::vector<std::pair<QueryNodeId, xml::NodeId>> leaves;
+  for (uint64_t b = 0; b < branches; ++b) {
+    auto [from_node, from] = spine[random.NextBounded(spine.size())];
+    QueryNodeId leaf = GrowChain(document, &query, from_node, from,
+                                 1 + static_cast<int>(random.NextBounded(3)),
+                                 random, &bound);
+    leaves.emplace_back(leaf, bound);
+  }
+  if (random.NextBool(0.5)) {
+    auto [leaf, element] = leaves[random.NextBounded(leaves.size())];
+    std::vector<std::string> tokens =
+        TokenizeKeywords(document.ContentString(element));
+    if (query.node(leaf).tag != "*" && !tokens.empty()) {
+      ValuePredicate predicate;
+      predicate.op = ValuePredicate::Op::kContains;
+      predicate.text = tokens[random.NextBounded(tokens.size())];
+      query.SetPredicate(leaf, predicate);
+    }
+  }
+  if (random.NextBool(0.3)) {
+    for (QueryNodeId q = 0; q < query.size(); ++q) {
+      if (query.node(q).children.size() >= 2) {
+        query.SetOrdered(q, true);
+        break;
+      }
+    }
+  }
+  return query;
+}
+
+/// Upper bound on the tuples any join materializes for `query`: the
+/// embeddings of every sub-twig that keeps the root (each branch either
+/// present or absent), value predicates included, order ignored. Random
+/// twigs with `*` and '//' branches can have billions of matches; they
+/// are skipped rather than evaluated.
+double SubTwigEmbeddings(const index::IndexedDocument& indexed,
+                         const TwigQuery& query) {
+  const xml::Document& document = indexed.document();
+  const auto n = static_cast<size_t>(document.num_nodes());
+  // count[q][e]: embeddings of q's sub-twigs with q bound to e. Children
+  // have larger ids than their parents, so descending ids see every
+  // child before its parent.
+  std::vector<std::vector<double>> count(static_cast<size_t>(query.size()));
+  std::vector<std::vector<double>> prefix(count.size());
+  for (QueryNodeId q = query.size() - 1; q >= 0; --q) {
+    std::vector<double>& here = count[static_cast<size_t>(q)];
+    here.assign(n, 0);
+    for (xml::NodeId e : CandidatesFor(indexed, query, q)) {
+      double embeddings = 1;
+      for (QueryNodeId c : query.node(q).children) {
+        const std::vector<double>& below = count[static_cast<size_t>(c)];
+        double sum = 0;
+        if (query.node(c).incoming_axis == Axis::kChild) {
+          for (xml::NodeId child = document.node(e).first_child;
+               child != xml::kInvalidNodeId;
+               child = document.node(child).next_sibling) {
+            sum += below[static_cast<size_t>(child)];
+          }
+        } else {
+          const std::vector<double>& sums = prefix[static_cast<size_t>(c)];
+          sum = sums[static_cast<size_t>(document.node(e).subtree_end) + 1] -
+                sums[static_cast<size_t>(e) + 1];
+        }
+        embeddings *= 1 + sum;
+      }
+      here[static_cast<size_t>(e)] = embeddings;
+    }
+    std::vector<double>& sums = prefix[static_cast<size_t>(q)];
+    sums.assign(n + 1, 0);
+    for (size_t e = 0; e < n; ++e) sums[e + 1] = sums[e] + here[e];
+  }
+  return query.root_axis() == Axis::kChild
+             ? count[0][static_cast<size_t>(document.root())]
+             : prefix[0][n];
+}
+
+/// Shapes the skip must handle, tallied over a random sample so the test
+/// fails if the generator stops producing one of them.
+struct SkipCoverage {
+  int later_selective_leaf = 0;  // smallest leaf stream not on path 0
+  int shared_below_root = 0;     // two paths share more than the root
+  int internal_wildcard = 0;     // a `*` with query children
+  int anchored_root = 0;         // '/'-anchored query root
+  int ordered = 0;
+};
+
+void Tally(const index::IndexedDocument& indexed, const TwigQuery& query,
+           SkipCoverage* coverage) {
+  std::vector<std::vector<QueryNodeId>> paths = query.RootToLeafPaths();
+  size_t smallest = 0;
+  size_t smallest_count = std::numeric_limits<size_t>::max();
+  for (size_t p = 0; p < paths.size(); ++p) {
+    size_t count = CandidatesFor(indexed, query, paths[p].back()).size();
+    if (count < smallest_count) {
+      smallest = p;
+      smallest_count = count;
+    }
+    for (size_t o = 0; o < p; ++o) {
+      if (paths[o].size() > 1 && paths[p].size() > 1 &&
+          paths[o][1] == paths[p][1]) {
+        ++coverage->shared_below_root;
+      }
+    }
+  }
+  if (smallest > 0) ++coverage->later_selective_leaf;
+  for (QueryNodeId q = 0; q < query.size(); ++q) {
+    if (query.node(q).tag == "*" && !query.node(q).children.empty()) {
+      ++coverage->internal_wildcard;
+    }
+  }
+  if (query.root_axis() == Axis::kChild) ++coverage->anchored_root;
+  if (query.HasOrderConstraints()) ++coverage->ordered;
+}
+
+TEST(TjFastSkipTest, RandomTwigsMatchTheStructuralJoin) {
+  const std::pair<const char*, const index::IndexedDocument*> corpora[] = {
+      {"dblp", &LongDblp()},
+      {"treebank", &LongTreebank()},
+      {"xmark", &LongXmark()},
+  };
+  for (const auto& [name, indexed] : corpora) {
+    SCOPED_TRACE(name);
+    Random random(17);
+    SkipCoverage coverage;
+    int evaluated = 0;
+    for (int i = 0; i < 80; ++i) {
+      TwigQuery query = RandomSkipTwig(*indexed, random);
+      if (query.IsPath() || SubTwigEmbeddings(*indexed, query) > 1e6) {
+        continue;
+      }
+      ++evaluated;
+      Tally(*indexed, query, &coverage);
+      ExpectTjFastAgrees(*indexed, query);
+    }
+    EXPECT_GE(evaluated, 40);
+    EXPECT_GT(coverage.later_selective_leaf, 0);
+    EXPECT_GT(coverage.shared_below_root, 0);
+    EXPECT_GT(coverage.internal_wildcard, 0);
+    EXPECT_GT(coverage.anchored_root, 0);
+    EXPECT_GT(coverage.ordered, 0);
+  }
+}
+
+TEST(TjFastSkipTest, NamedShapesMatchTheStructuralJoin) {
+  const index::IndexedDocument& dblp = LongDblp();
+  for (std::string_view query : {
+           // The selective leaf on the last path; S is the root.
+           R"(//article[author][title]/year[="1995"])",
+           // S below the root, with '/' and '//' edges.
+           R"(//dblp/article[author][title]/year[="1995"])",
+           R"(//dblp//article[//author]/year[="1995"])",
+           // '/'-anchored root.
+           R"(/dblp/article[author]/year[="1995"])",
+           // `*` binding dblp and each publication (nested anchors).
+           R"(//*[year[="1995"]]//author)",
+           R"(//dblp/*[author]/year[="1995"])",
+           // Order constraints.
+           R"(//article[ordered][author][year[="1995"]])",
+           R"(//*[ordered][title][year[="1995"]])",
+       }) {
+    ExpectTjFastAgrees(dblp, Q(query));
+  }
+  // The leaf is the last node of S's subtree (an empty element).
+  auto tail = MustIndex(
+      "<r><a><b>x</b><c/></a><a><b>y</b><c/></a><a><b>x</b></a>"
+      "<a><c/><a><b>x</b><c/></a></a></r>");
+  for (std::string_view query :
+       {R"(//a[b[="x"]]/c)", R"(//a[b[="x"]]//c)", R"(//r[a/b[="x"]]//c)"}) {
+    ExpectTjFastAgrees(tail, Q(query));
+  }
+  const index::IndexedDocument& treebank = LongTreebank();
+  for (std::string_view query :
+       {"//np[pp]//np", "//s//np[pp]//np", "//*[np][pp]", "//*[pp]//np",
+        "//vp/np[pp][np]", "//np[ordered][np][pp]"}) {
+    ExpectTjFastAgrees(treebank, Q(query));
+  }
+}
+
+TEST(TjFastSkipTest, SelectiveBranchBoundsPathSolutions) {
+  // Reading the year stream first leaves only the authors and titles of
+  // the few 1995 articles to decode: TJFast then materializes about as
+  // many path solutions as TwigStack, not every author and title.
+  const index::IndexedDocument& indexed = LongDblp();
+  TwigQuery query = Q(R"(//article[author][title]/year[="1995"])");
+  QueryResult tjfast = MustEvaluate(indexed, query, Algorithm::kTJFast);
+  QueryResult twigstack = MustEvaluate(indexed, query, Algorithm::kTwigStack);
+  ASSERT_FALSE(twigstack.matches.empty());
+  EXPECT_EQ(tjfast.matches, twigstack.matches);
+  EXPECT_LE(tjfast.stats.intermediate_tuples,
+            2 * twigstack.stats.intermediate_tuples);
 }
 
 // ------------------------------------------------- evaluator-level tests
