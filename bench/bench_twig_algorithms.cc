@@ -199,16 +199,18 @@ int main(int argc, char** argv) {
   std::printf(
       "expected shape: on twig-selective the structural join materializes\n"
       "orders of magnitude more intermediate tuples than twigstack (the\n"
-      "holistic-join headline result); tjfast consistently scans the\n"
-      "fewest elements (leaf streams only), and by reading the selective\n"
-      "leaf first it keeps its intermediate tuples within 2x of\n"
-      "twigstack's there. On friendly workloads where every edge is\n"
-      "selective, the simpler algorithms stay competitive.\n"
+      "holistic-join headline result); 'scanned' counts the elements a\n"
+      "join positions its streams on, so seeks lower it; tjfast reads\n"
+      "leaf streams only, and by reading the selective leaf first it\n"
+      "keeps its intermediate tuples within 2x of twigstack's there.\n"
+      "On friendly workloads where every edge is selective, the simpler\n"
+      "algorithms stay competitive.\n"
       "On twig-keyword twigstack decodes a few blocks per rare title;\n"
-      "on twig-impossible its getNext seeks past every article without\n"
-      "a booktitle, and twig-equals-miss has an empty stream, which ends\n"
-      "twigstack and tjfast before the join (intermed 0). On the path\n"
-      "rows (path-ad, recursive-path) twigstack and pathstack scan and\n"
-      "decode the same; only the merge differs.\n");
+      "twig-impossible has no DataGuide position for booktitle under\n"
+      "article, so its plan opens no stream (all zeros), and\n"
+      "twig-equals-miss has an empty stream, which ends the join before\n"
+      "it starts (intermed 0). On the path rows (path-ad,\n"
+      "recursive-path) twigstack and pathstack scan and decode the same;\n"
+      "only the merge differs.\n");
   return lotusx::bench::WriteJsonIfRequested(argc, argv);
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/arena.h"
 #include "index/posting_blocks.h"
@@ -34,6 +35,7 @@ class CandidateStream {
     CandidateStream stream;
     stream.span_ = ids;
     stream.count_ = ids.size();
+    stream.read_ = ids.empty() ? 0 : 1;
     return stream;
   }
 
@@ -44,12 +46,18 @@ class CandidateStream {
     stream.use_blocks_ = true;
     stream.cursor_ = blocks->NewCursor(arena, stats);
     stream.count_ = blocks->size();
+    stream.read_ = stream.cursor_.AtEnd() ? 0 : 1;
     return stream;
   }
 
-  /// Logical stream size (elements a full scan would read); this is what
-  /// EvalStats::candidates_scanned accumulates.
+  /// Logical stream size (elements a full scan would read).
   uint64_t count() const { return count_; }
+
+  /// Elements the join has positioned this stream on: the head at open,
+  /// and every element a Next or SeekGE landed on. Elements a seek jumps
+  /// over are not read. This is what EvalStats::candidates_scanned
+  /// accumulates.
+  uint64_t read() const { return read_; }
 
   bool AtEnd() const {
     return use_blocks_ ? cursor_.AtEnd() : pos_ >= span_.size();
@@ -66,16 +74,19 @@ class CandidateStream {
     } else {
       ++pos_;
     }
+    if (!AtEnd()) ++read_;
   }
 
   /// Advances to the first candidate >= `target` (no-op when already
   /// there); returns false iff the stream ran off the end.
   bool SeekGE(xml::NodeId target) {
+    if (AtEnd()) return false;
+    if (Key() >= target) return true;
     if (use_blocks_) {
-      return cursor_.SeekGE(static_cast<uint32_t>(target));
+      if (!cursor_.SeekGE(static_cast<uint32_t>(target))) return false;
+      ++read_;
+      return true;
     }
-    if (pos_ >= span_.size()) return false;
-    if (span_[pos_] >= target) return true;
     // Gallop: doubling probe from the current position, then binary
     // search over the narrowed range.
     size_t low = pos_ + 1;
@@ -88,7 +99,9 @@ class CandidateStream {
         std::lower_bound(span_.begin() + static_cast<ptrdiff_t>(low),
                          span_.end(), target) -
         span_.begin());
-    return pos_ < span_.size();
+    if (pos_ >= span_.size()) return false;
+    ++read_;
+    return true;
   }
 
  private:
@@ -97,7 +110,15 @@ class CandidateStream {
   size_t pos_ = 0;
   index::PostingBlocks::Cursor cursor_;
   uint64_t count_ = 0;
+  uint64_t read_ = 0;
 };
+
+/// Sum of read() over a join's streams: its EvalStats::candidates_scanned.
+inline uint64_t ElementsRead(const std::vector<CandidateStream>& streams) {
+  uint64_t read = 0;
+  for (const CandidateStream& stream : streams) read += stream.read();
+  return read;
+}
 
 }  // namespace lotusx::twig
 

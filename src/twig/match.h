@@ -26,7 +26,9 @@ struct Match {
 /// blowup is the classic structural-join failure mode).
 struct EvalStats {
   std::string algorithm;
-  /// Elements read from input streams.
+  /// Elements read from input streams: those a join positioned a stream
+  /// on, not the streams' full lengths (seeks skip the rest).
+  /// A schema-empty plan opens no stream and reads 0.
   uint64_t candidates_scanned = 0;
   /// Intermediate tuples materialized (partial matches for the binary
   /// join, path solutions for the holistic algorithms).

@@ -38,13 +38,12 @@ StatusOr<QueryResult> PathStackEvaluate(
         schema_bindings == nullptr
             ? nullptr
             : &(*schema_bindings)[static_cast<size_t>(q)]));
-    result.stats.candidates_scanned +=
-        streams[static_cast<size_t>(q)].count();
   }
   // Every query node binds in every match: an empty stream means an
   // empty answer.
   if (std::any_of(streams.begin(), streams.end(),
                   [](const CandidateStream& s) { return s.AtEnd(); })) {
+    result.stats.candidates_scanned = ElementsRead(streams);
     FillPostingStats(*ctx, &result.stats);
     result.stats.elapsed_ms = timer.ElapsedMillis();
     return result;
@@ -102,6 +101,7 @@ StatusOr<QueryResult> PathStackEvaluate(
   // and materializes them as matches, with no join.
   result.matches = MergePathSolutions(query, paths, solutions, nullptr);
   result.stats.matches = result.matches.size();
+  result.stats.candidates_scanned = ElementsRead(streams);
   FillPostingStats(*ctx, &result.stats);
   result.stats.elapsed_ms = timer.ElapsedMillis();
   return result;

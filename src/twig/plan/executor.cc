@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "common/invariant.h"
 #include "common/metrics.h"
@@ -7,7 +9,6 @@
 #include "twig/order_filter.h"
 #include "twig/path_stack.h"
 #include "twig/plan/physical_plan.h"
-#include "twig/schema_match.h"
 #include "twig/structural_join.h"
 #include "twig/tjfast.h"
 #include "twig/twig_stack.h"
@@ -29,7 +30,8 @@ struct OperatorMetrics {
 
 const OperatorMetrics& MetricsFor(OperatorKind kind) {
   static const std::vector<OperatorMetrics> table = [] {
-    constexpr int kNumKinds = static_cast<int>(OperatorKind::kOutputSort) + 1;
+    constexpr int kNumKinds =
+        static_cast<int>(OperatorKind::kSchemaEmpty) + 1;
     std::vector<OperatorMetrics> metrics_table(kNumKinds);
     metrics::Registry& registry = metrics::Registry::Default();
     for (int i = 0; i < kNumKinds; ++i) {
@@ -73,54 +75,51 @@ metrics::Counter* DecodeUsecCounter() {
   return counter;
 }
 
-}  // namespace
+/// The EvalStats::algorithm string the plan's join reports, for a plan
+/// that runs no join.
+std::string_view JoinStatsName(const PhysicalPlan& plan) {
+  return plan.algorithm == Algorithm::kStructuralJoin
+             ? StructuralJoinName(plan.reorder_binary_joins)
+             : AlgorithmName(plan.algorithm);
+}
 
-StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
+/// Runs the join of a plan that has one, with its order filter and
+/// output sort, and fills the operators' actuals. Sets the result's
+/// elapsed time before the analyze-only passes, which are not part of
+/// the query's work.
+StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
                                   PhysicalPlan* plan,
-                                  const ExecuteOptions& options) {
-  if (plan == nullptr || plan->ops.empty()) {
-    return Status::InvalidArgument("empty physical plan");
-  }
+                                  const ExecuteOptions& options,
+                                  const Timer& total_timer, EvalContext* ctx) {
   const TwigQuery& query = plan->query;
-  Timer total_timer;
-
-  // One arena + posting-counter set for the whole query. Per-block
-  // decode timing costs a Timer read per block, so it is only switched
-  // on when the caller asked for actuals.
-  EvalContext ctx;
-  ctx.postings.time_decodes = options.analyze;
-
-  // Schema pruning happens once for all streams (one DataGuide walk); its
-  // time is split evenly across the plan's prune operators below.
-  std::vector<std::vector<index::PathId>> schema;
-  const std::vector<std::vector<index::PathId>>* schema_ptr = nullptr;
-  double prune_ms = 0;
-  if (plan->schema_prune) {
-    Timer prune_timer;
-    schema = SchemaBindings(indexed, query);
-    schema_ptr = &schema;
-    prune_ms = prune_timer.ElapsedMillis();
-  }
+  // Schema pruning reads the DataGuide positions the planner's estimate
+  // already holds: a plan walks the DataGuide once.
+  const std::vector<std::vector<index::PathId>>& schema =
+      plan->estimate.node_schema_paths;
+  LOTUSX_DCHECK_EQ(schema.size(), static_cast<size_t>(query.size()))
+      << "plan estimate has no DataGuide positions";
+  const std::vector<std::vector<index::PathId>>* schema_ptr =
+      plan->schema_prune ? &schema : nullptr;
 
   QueryResult result;
   Timer join_timer;
   switch (plan->algorithm) {
     case Algorithm::kStructuralJoin:
       result = StructuralJoinEvaluate(indexed, query, schema_ptr,
-                                      plan->reorder_binary_joins, &ctx);
+                                      plan->reorder_binary_joins, ctx);
       break;
     case Algorithm::kPathStack: {
       LOTUSX_ASSIGN_OR_RETURN(
-          result, PathStackEvaluate(indexed, query, schema_ptr, &ctx));
+          result, PathStackEvaluate(indexed, query, schema_ptr, ctx));
       break;
     }
     case Algorithm::kTwigStack:
       result = TwigStackEvaluate(indexed, query, plan->integrate_order,
-                                 schema_ptr, &ctx);
+                                 schema_ptr, ctx);
       break;
     case Algorithm::kTJFast:
       result = TjFastEvaluate(indexed, query, plan->integrate_order,
-                              schema_ptr, &ctx);
+                              schema_ptr, ctx);
       break;
     case Algorithm::kAuto:
       return Status::Internal("unresolved kAuto algorithm in plan");
@@ -154,10 +153,6 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
   result.stats.elapsed_ms = total_timer.ElapsedMillis();
 
   // Fill per-operator actuals.
-  size_t num_prunes = 0;
-  for (const OperatorNode& op : plan->ops) {
-    if (op.kind == OperatorKind::kSchemaPrune) ++num_prunes;
-  }
   for (OperatorNode& op : plan->ops) {
     switch (op.kind) {
       case OperatorKind::kStreamScan:
@@ -168,9 +163,8 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
         }
         break;
       case OperatorKind::kSchemaPrune:
-        op.actual_ms = num_prunes > 0
-                           ? prune_ms / static_cast<double>(num_prunes)
-                           : 0;
+        // The positions come with the plan; the filtering itself runs
+        // inside the join's stream opens.
         if (options.analyze) {
           op.actual_rows_in =
               CandidatesFor(indexed, query, op.query_node).size();
@@ -213,7 +207,39 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
         op.actual_ms = sort_ms;
         op.has_actuals = true;
         break;
+      case OperatorKind::kSchemaEmpty:  // only ever a plan's lone operator
+        break;
     }
+  }
+  return result;
+}
+
+}  // namespace
+
+StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
+                                  PhysicalPlan* plan,
+                                  const ExecuteOptions& options) {
+  if (plan == nullptr || plan->ops.empty()) {
+    return Status::InvalidArgument("empty physical plan");
+  }
+  Timer total_timer;
+
+  // One arena + posting-counter set for the whole query. Per-block
+  // decode timing costs a Timer read per block, so it is only switched
+  // on when the caller asked for actuals.
+  EvalContext ctx;
+  ctx.postings.time_decodes = options.analyze;
+
+  QueryResult result;
+  if (plan->IsSchemaEmpty()) {
+    // No match exists (DESIGN.md "Schema-empty means empty"): every
+    // counter stays 0, and the result names the join the plan resolved.
+    result.stats.algorithm = JoinStatsName(*plan);
+    result.stats.elapsed_ms = total_timer.ElapsedMillis();
+    plan->ops.back().has_actuals = true;
+  } else {
+    LOTUSX_ASSIGN_OR_RETURN(
+        result, ExecuteJoin(indexed, plan, options, total_timer, &ctx));
   }
 
   if (metrics::Enabled()) {

@@ -18,7 +18,9 @@ namespace lotusx::twig::plan {
 /// The physical operators a plan can contain. A plan is a small tree:
 /// per-query-node stream scans (optionally wrapped by a schema prune) feed
 /// one join operator, whose output flows through merge/expand (holistic
-/// algorithms only), an order filter, and the canonical output sort.
+/// algorithms only), an order filter, and the canonical output sort. A
+/// query with a node that has no DataGuide position plans as a single
+/// schema-empty operator instead (DESIGN.md "Schema-empty means empty").
 enum class OperatorKind {
   kStreamScan,            // read one query node's candidate stream
   kSchemaPrune,           // restrict a stream to DataGuide-feasible paths
@@ -29,6 +31,7 @@ enum class OperatorKind {
   kMergeExpand,           // phase 2: merge path solutions into matches
   kOrderFilter,           // enforce order constraints on complete matches
   kOutputSort,            // canonical document-order sort of the matches
+  kSchemaEmpty,           // the whole plan: a node has no DataGuide position
 };
 
 std::string_view OperatorName(OperatorKind kind);
@@ -42,8 +45,9 @@ struct OperatorNode {
   /// Operator-specific annotation ("<author> leaf stream", "greedy edge
   /// order", "integrated order check", ...).
   std::string detail;
-  /// The query node a scan/prune operator serves; kInvalidQueryNode for
-  /// the operators above the leaves.
+  /// The query node a scan/prune operator serves, or the one a
+  /// schema-empty operator names; kInvalidQueryNode for the operators
+  /// above the leaves.
   QueryNodeId query_node = kInvalidQueryNode;
   /// Planner estimates: output rows and abstract cost units (rows read +
   /// rows materialized; the same quantities ChooseAlgorithm compares).
@@ -94,6 +98,12 @@ struct PhysicalPlan {
 
   /// Index of the first operator of `kind`, or -1.
   int FindOperator(OperatorKind kind) const;
+
+  /// True when the plan is the lone schema-empty operator: execution
+  /// opens no stream and returns no match.
+  bool IsSchemaEmpty() const {
+    return ops.size() == 1 && ops[0].kind == OperatorKind::kSchemaEmpty;
+  }
 };
 
 /// Planner hints: EvalOptions expressed as preferences for the planner
@@ -120,10 +130,13 @@ class Planner {
   explicit Planner(const index::IndexedDocument& indexed)
       : indexed_(indexed) {}
 
-  /// Plans `query`. Fails only on invalid queries; an infeasible query
-  /// plans fine and executes to an empty result. A kPathStack hint on a
-  /// non-path query is planned as requested and fails at execution,
-  /// matching the historical Evaluate() contract.
+  /// Plans `query`. Fails only on invalid queries. A query with a node
+  /// that has no DataGuide position plans as one schema-empty operator,
+  /// with the algorithm and choice reason still resolved as for any
+  /// plan; other infeasible queries plan a join that executes to an
+  /// empty result. A kPathStack hint on a non-path query is planned as
+  /// requested and fails at execution, schema-empty or not, matching the
+  /// historical Evaluate() contract.
   StatusOr<PhysicalPlan> Plan(const TwigQuery& query,
                               const PlannerHints& hints = {}) const;
 
@@ -139,9 +152,10 @@ struct ExecuteOptions {
 };
 
 /// Runs a physical plan, filling per-operator actuals and plan->stats.
-/// The returned QueryResult is bit-identical to what the pre-planner
+/// The returned matches are bit-identical to what the pre-planner
 /// Evaluate() produced for the same options (the plan-equivalence tests
-/// pin this).
+/// pin this). A schema-empty plan opens no stream: its result has no
+/// match, every counter at 0, and the resolved join's algorithm name.
 StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
                                   PhysicalPlan* plan,
                                   const ExecuteOptions& options = {});

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "twig/plan/physical_plan.h"
 
@@ -25,6 +26,8 @@ std::string_view OperatorName(OperatorKind kind) {
       return "order-filter";
     case OperatorKind::kOutputSort:
       return "output-sort";
+    case OperatorKind::kSchemaEmpty:
+      return "schema-empty";
   }
   return "?";
 }
@@ -102,6 +105,17 @@ double JoinCost(Algorithm algorithm, const TwigQuery& query,
   return 0;
 }
 
+/// The query node a schema-empty plan names: the first whose tag never
+/// occurs in the document, else the last node. Every node's DataGuide
+/// positions are empty together, so they do not single one out.
+QueryNodeId UnboundNodeToName(const TwigQuery& query,
+                              const SelectivityEstimate& estimate) {
+  for (QueryNodeId q = 0; q < query.size(); ++q) {
+    if (estimate.node_stream_size[static_cast<size_t>(q)] == 0) return q;
+  }
+  return query.size() - 1;
+}
+
 std::string FormatPercent(double part, double whole) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%d%%",
@@ -162,6 +176,22 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
                          query.HasOrderConstraints() &&
                          (plan.algorithm == Algorithm::kTwigStack ||
                           plan.algorithm == Algorithm::kTJFast);
+
+  // A query node with no DataGuide position has no binding in any match
+  // (DESIGN.md "Schema-empty means empty"), so the plan opens no stream.
+  // A forced PathStack on a non-path query keeps its join plan, which
+  // fails at execution as it always has.
+  if (plan.estimate.SchemaEmpty() &&
+      !(plan.algorithm == Algorithm::kPathStack && !query.IsPath())) {
+    const QueryNodeId unbound = UnboundNodeToName(query, plan.estimate);
+    OperatorNode empty;
+    empty.kind = OperatorKind::kSchemaEmpty;
+    empty.query_node = unbound;
+    empty.detail = "node " + std::to_string(unbound) + " <" +
+                   query.node(unbound).tag + "> has no DataGuide position";
+    plan.ops.push_back(std::move(empty));
+    return plan;
+  }
 
   const double match = plan.estimate.match_cardinality;
   const double path_solutions = EstimatedPathSolutions(query, plan.estimate);

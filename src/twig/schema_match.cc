@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace lotusx::twig {
 
 namespace {
@@ -18,9 +20,15 @@ std::vector<bool> LocalCandidates(const index::IndexedDocument& indexed,
   size_t n = static_cast<size_t>(guide.num_paths());
   std::vector<bool> ok(n, false);
   const twig::QueryNode& node = query.node(q);
+  // An element without direct text has the empty value, which satisfies
+  // only an equality whose literal trims to empty.
+  const bool needs_text =
+      node.predicate.active() &&
+      !(node.predicate.op == ValuePredicate::Op::kEquals &&
+        TrimAscii(node.predicate.text).empty());
   auto mark = [&](PathId p) {
     const DataGuide::PathNode& path = guide.node(p);
-    if (node.predicate.active()) {
+    if (needs_text) {
       bool is_attribute = !document.tag_name(path.tag).empty() &&
                           document.tag_name(path.tag)[0] == '@';
       if (!is_attribute && path.text_count == 0) return;

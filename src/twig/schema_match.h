@@ -12,8 +12,11 @@ namespace lotusx::twig {
 /// (the summary tree with one node per distinct label path) instead of
 /// the document. Returns, for every query node, the exact set of paths
 /// (ascending PathId) it can bind to in some embedding. Value predicates
-/// require the path to carry text (or be an attribute path); their actual
-/// text condition is not checked at this level.
+/// require the path to carry text (or be an attribute path), except an
+/// equality whose literal trims to empty, which a text-less element
+/// satisfies; their actual text condition is not checked at this level.
+/// The sets are complete: every document match binds each query node at
+/// one of its paths, so an empty set proves the query has no match.
 ///
 /// This is the primitive behind LotusX's position-awareness
 /// (autocomplete), position-aware tag substitution (rewrite), and

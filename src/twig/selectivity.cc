@@ -63,17 +63,20 @@ SelectivityEstimate EstimateSelectivity(
                                       0.0);
   estimate.node_block_fill.assign(static_cast<size_t>(query.size()), 0.0);
   estimate.node_key_span.assign(static_cast<size_t>(query.size()), 0.0);
-  if (query.Validate() != Status::OK()) return estimate;
+  if (query.Validate() != Status::OK()) {
+    estimate.node_schema_paths.resize(static_cast<size_t>(query.size()));
+    return estimate;
+  }
 
   const index::DataGuide& guide = indexed.dataguide();
-  std::vector<std::vector<index::PathId>> bindings =
-      SchemaBindings(indexed, query);
+  estimate.node_schema_paths = SchemaBindings(indexed, query);
 
   // Per-node expected bindings: occurrences over the node's feasible
   // paths, scaled by its predicate's selectivity.
   for (QueryNodeId q = 0; q < query.size(); ++q) {
     double occurrences = 0;
-    for (index::PathId p : bindings[static_cast<size_t>(q)]) {
+    for (index::PathId p :
+         estimate.node_schema_paths[static_cast<size_t>(q)]) {
       occurrences += guide.node(p).count;
     }
     double selectivity = PredicateSelectivity(indexed, query.node(q));
@@ -124,6 +127,12 @@ SelectivityEstimate EstimateSelectivity(
   return estimate;
 }
 
+bool SelectivityEstimate::SchemaEmpty() const {
+  return std::any_of(
+      node_schema_paths.begin(), node_schema_paths.end(),
+      [](const std::vector<index::PathId>& paths) { return paths.empty(); });
+}
+
 Algorithm ChooseAlgorithm(const TwigQuery& query,
                           const SelectivityEstimate& estimate) {
   if (query.IsPath()) return Algorithm::kPathStack;
@@ -147,8 +156,6 @@ StatusOr<std::string> Explain(const index::IndexedDocument& indexed,
                               const TwigQuery& query) {
   LOTUSX_RETURN_IF_ERROR(query.Validate());
   SelectivityEstimate estimate = EstimateSelectivity(indexed, query);
-  std::vector<std::vector<index::PathId>> bindings =
-      SchemaBindings(indexed, query);
   const index::DataGuide& guide = indexed.dataguide();
   const xml::Document& document = indexed.document();
 
@@ -167,7 +174,7 @@ StatusOr<std::string> Explain(const index::IndexedDocument& indexed,
           << "\"" << node.predicate.text << "\"";
     }
     const std::vector<index::PathId>& paths =
-        bindings[static_cast<size_t>(q)];
+        estimate.node_schema_paths[static_cast<size_t>(q)];
     out << ": " << paths.size() << " position(s), est. "
         << estimate.node_cardinality[static_cast<size_t>(q)]
         << " bindings\n";

@@ -17,6 +17,13 @@ namespace lotusx::twig {
 /// the match estimate uses the classic independence assumption across
 /// branches.
 struct SelectivityEstimate {
+  /// Per-node DataGuide positions: SchemaBindings' exact set of paths
+  /// (ascending PathId) the node binds in some schema-level embedding.
+  /// The one DataGuide walk of a plan; schema pruning, EXPLAIN and the
+  /// schema-empty short-circuit all read it from here. An empty set
+  /// proves the query has no match (DESIGN.md "Schema-empty means
+  /// empty").
+  std::vector<std::vector<index::PathId>> node_schema_paths;
   /// Expected bindings per query node (schema-filtered, predicate-scaled).
   std::vector<double> node_cardinality;
   /// Per-node raw candidate stream length: tag occurrences, or the whole
@@ -41,6 +48,12 @@ struct SelectivityEstimate {
   /// (TwigStack/structural join) vs leaves only (TJFast).
   double total_stream_size = 0;
   double leaf_stream_size = 0;
+
+  /// True when some query node has no DataGuide position, which proves
+  /// the query has no match. The sets empty together: an unbound child
+  /// leaves its parent unsupported, and an unbound parent leaves its
+  /// children unreachable.
+  bool SchemaEmpty() const;
 };
 
 /// Estimates cardinalities for `query` over `indexed`. Always succeeds

@@ -82,8 +82,7 @@ QueryResult StructuralJoinEvaluate(
   if (ctx == nullptr) ctx = &local_ctx;
   Timer timer;
   QueryResult result;
-  result.stats.algorithm =
-      reorder_joins ? "structural-join+reorder" : "structural-join";
+  result.stats.algorithm = StructuralJoinName(reorder_joins);
   const xml::Document& document = indexed.document();
 
   // Candidate streams.
@@ -95,9 +94,8 @@ QueryResult StructuralJoinEvaluate(
         schema_bindings == nullptr
             ? nullptr
             : &(*schema_bindings)[static_cast<size_t>(q)]));
-    result.stats.candidates_scanned +=
-        candidates[static_cast<size_t>(q)].count();
     if (candidates[static_cast<size_t>(q)].count() == 0) {
+      result.stats.candidates_scanned = ElementsRead(candidates);
       FillPostingStats(*ctx, &result.stats);
       result.stats.elapsed_ms = timer.ElapsedMillis();
       return result;
@@ -200,6 +198,7 @@ QueryResult StructuralJoinEvaluate(
     result.matches.push_back(std::move(match));
   }
   result.stats.matches = result.matches.size();
+  result.stats.candidates_scanned = ElementsRead(candidates);
   FillPostingStats(*ctx, &result.stats);
   result.stats.elapsed_ms = timer.ElapsedMillis();
   return result;

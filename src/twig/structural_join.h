@@ -1,6 +1,8 @@
 #ifndef LOTUSX_TWIG_STRUCTURAL_JOIN_H_
 #define LOTUSX_TWIG_STRUCTURAL_JOIN_H_
 
+#include <string_view>
+
 #include "index/indexed_document.h"
 #include "twig/eval_context.h"
 #include "twig/match.h"
@@ -31,6 +33,11 @@ QueryResult StructuralJoinEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
     const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     bool reorder_joins = false, EvalContext* ctx = nullptr);
+
+/// The EvalStats::algorithm name StructuralJoinEvaluate reports.
+inline std::string_view StructuralJoinName(bool reorder_joins) {
+  return reorder_joins ? "structural-join+reorder" : "structural-join";
+}
 
 }  // namespace lotusx::twig
 

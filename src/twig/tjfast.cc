@@ -133,7 +133,6 @@ QueryResult TjFastEvaluate(
         schema_bindings == nullptr
             ? nullptr
             : &(*schema_bindings)[static_cast<size_t>(leaf)]));
-    result.stats.candidates_scanned += streams[p].count();
   }
   // Smallest leaf stream first (ties in query order): its solutions bound
   // where the later, larger leaf streams can still join.
@@ -240,6 +239,7 @@ QueryResult TjFastEvaluate(
     // Every path must join into a match: once one has no solutions the
     // answer is empty, and the remaining leaf streams go unread.
     if (solutions[p].num_rows() == 0) {
+      result.stats.candidates_scanned = ElementsRead(streams);
       FillPostingStats(*ctx, &result.stats);
       result.stats.elapsed_ms = timer.ElapsedMillis();
       return result;
@@ -253,6 +253,7 @@ QueryResult TjFastEvaluate(
       MergePathSolutions(query, paths, solutions,
                          &result.stats.intermediate_tuples, merge_options);
   result.stats.matches = result.matches.size();
+  result.stats.candidates_scanned = ElementsRead(streams);
   FillPostingStats(*ctx, &result.stats);
   result.stats.elapsed_ms = timer.ElapsedMillis();
   return result;

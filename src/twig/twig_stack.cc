@@ -60,13 +60,11 @@ class TwigStackRun {
     Timer timer;
     QueryResult result;
     result.stats.algorithm = "twigstack";
-    for (const CandidateStream& stream : streams_) {
-      result.stats.candidates_scanned += stream.count();
-    }
     // Every query node binds in every match: an empty stream means an
     // empty answer, without running the join.
     if (std::any_of(streams_.begin(), streams_.end(),
                     [](const CandidateStream& s) { return s.AtEnd(); })) {
+      result.stats.candidates_scanned = ElementsRead(streams_);
       FillPostingStats(*ctx_, &result.stats);
       result.stats.elapsed_ms = timer.ElapsedMillis();
       return result;
@@ -111,6 +109,7 @@ class TwigStackRun {
         MergePathSolutions(query_, paths_, path_solutions_,
                            &result.stats.intermediate_tuples, merge_options);
     result.stats.matches = result.matches.size();
+    result.stats.candidates_scanned = ElementsRead(streams_);
     FillPostingStats(*ctx_, &result.stats);
     result.stats.elapsed_ms = timer.ElapsedMillis();
     return result;

@@ -1,19 +1,28 @@
 // Tests for the cost-based planner layer (twig/plan/): ChooseAlgorithm
 // decision boundaries, plan shapes, the plan-equivalence guarantee (every
-// physical plan returns exactly the brute-force match set), and the
-// rendered EXPLAIN output the acceptance criteria pin.
+// physical plan returns exactly the brute-force match set), schema-empty
+// plans, and the rendered EXPLAIN output the acceptance criteria pin.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/random.h"
+#include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "tests/test_util.h"
 #include "twig/evaluator.h"
+#include "twig/path_stack.h"
 #include "twig/plan/physical_plan.h"
 #include "twig/query_parser.h"
+#include "twig/schema_match.h"
 #include "twig/selectivity.h"
+#include "twig/structural_join.h"
+#include "twig/tjfast.h"
+#include "twig/twig_stack.h"
 
 namespace lotusx::twig {
 namespace {
@@ -395,6 +404,331 @@ TEST(ExplainPlanTest, DescribeWithoutActualsOmitsThem) {
   std::string text = plan::DescribePlan(*plan, /*include_actuals=*/false);
   EXPECT_NE(text.find("est rows="), std::string::npos) << text;
   EXPECT_EQ(text.find("actual rows="), std::string::npos) << text;
+}
+
+// ------------------------------------------------- schema-empty plans
+
+const Algorithm kAllAlgorithms[] = {Algorithm::kAuto, Algorithm::kStructuralJoin,
+                                    Algorithm::kPathStack,
+                                    Algorithm::kTwigStack, Algorithm::kTJFast};
+
+bool HasUnboundNode(const index::IndexedDocument& indexed,
+                    const TwigQuery& query) {
+  std::vector<std::vector<index::PathId>> bindings =
+      SchemaBindings(indexed, query);
+  return std::any_of(bindings.begin(), bindings.end(),
+                     [](const auto& paths) { return paths.empty(); });
+}
+
+std::vector<xml::NodeId> ElementChildren(const xml::Document& document,
+                                         xml::NodeId element) {
+  std::vector<xml::NodeId> children;
+  for (xml::NodeId child = document.node(element).first_child;
+       child != xml::kInvalidNodeId;
+       child = document.node(child).next_sibling) {
+    if (document.node(child).kind == xml::NodeKind::kElement) {
+      children.push_back(child);
+    }
+  }
+  return children;
+}
+
+/// A random element of `document` whose tag satisfies `keep`, or the
+/// document root when none is found in a few hundred draws.
+template <typename Keep>
+xml::NodeId RandomNode(const xml::Document& document, Random& random,
+                       Keep&& keep) {
+  for (int attempt = 0; attempt < 400; ++attempt) {
+    auto id = static_cast<xml::NodeId>(
+        random.NextBounded(static_cast<uint64_t>(document.num_nodes())));
+    if (document.node(id).kind != xml::NodeKind::kText && keep(id)) {
+      return id;
+    }
+  }
+  return document.root();
+}
+
+/// One of the mistakes servebench's relax_rewrite workload makes, applied
+/// to `query`: a misspelled tag, a flipped '/' vs '//' axis, a branch the
+/// parent may never have, a '=' or '~' predicate (empty literal
+/// included) on a node whose paths may carry no text, an attribute leaf,
+/// a `*` node, or a '/'-anchored root.
+void AddMistake(const xml::Document& document, Random& random,
+                TwigQuery* query) {
+  const auto node =
+      static_cast<QueryNodeId>(random.NextBounded(
+          static_cast<uint64_t>(query->size())));
+  const std::string tag = query->node(node).tag;
+  const bool plain_element = tag != "*" && tag[0] != '@';
+  switch (random.NextBounded(7)) {
+    case 0:  // misspelled tag
+      if (plain_element) {
+        std::string typo = tag;
+        if (typo.size() >= 2 && random.NextBool(0.5)) {
+          std::swap(typo[0], typo[1]);
+        } else {
+          typo += "x";
+        }
+        query->SetTag(node, typo);
+      }
+      break;
+    case 1:  // wrong axis
+      if (node != query->root()) {
+        query->SetIncomingAxis(node,
+                               query->node(node).incoming_axis == Axis::kChild
+                                   ? Axis::kDescendant
+                                   : Axis::kChild);
+      }
+      break;
+    case 2: {  // a branch the parent may never have
+      if (tag[0] == '@') break;
+      xml::NodeId other = RandomNode(document, random, [&](xml::NodeId id) {
+        return document.node(id).kind == xml::NodeKind::kElement;
+      });
+      query->AddChild(node, random.NextBool(0.5) ? Axis::kChild
+                                                 : Axis::kDescendant,
+                      document.TagName(other));
+      break;
+    }
+    case 3: {  // '=' / '~' on a node whose paths may have no text
+      if (query->node(node).predicate.active()) break;
+      xml::NodeId source = RandomNode(document, random, [&](xml::NodeId id) {
+        return document.node(id).kind == xml::NodeKind::kElement &&
+               !document.ContentString(id).empty();
+      });
+      ValuePredicate predicate;
+      std::vector<std::string> tokens =
+          TokenizeKeywords(document.ContentString(source));
+      switch (random.NextBounded(3)) {
+        case 0:
+          predicate.op = ValuePredicate::Op::kContains;
+          predicate.text = tokens.empty()
+                               ? "zzz"
+                               : tokens[random.NextBounded(tokens.size())];
+          break;
+        case 1:
+          predicate.op = ValuePredicate::Op::kEquals;
+          predicate.text = document.ContentString(source);
+          break;
+        default:
+          predicate.op = ValuePredicate::Op::kEquals;
+          predicate.text = "";
+          break;
+      }
+      if (tag == "*" && predicate.op == ValuePredicate::Op::kEquals) break;
+      query->SetPredicate(node, predicate);
+      break;
+    }
+    case 4: {  // attribute leaf
+      if (tag[0] == '@') break;
+      xml::NodeId attribute = RandomNode(document, random, [&](xml::NodeId id) {
+        return document.node(id).kind == xml::NodeKind::kAttribute;
+      });
+      if (document.node(attribute).kind != xml::NodeKind::kAttribute) break;
+      query->AddChild(node, Axis::kChild, document.TagName(attribute));
+      break;
+    }
+    case 5:  // `*` node
+      if (plain_element &&
+          query->node(node).predicate.op != ValuePredicate::Op::kEquals) {
+        query->SetTag(node, "*");
+      }
+      break;
+    default:  // '/'-anchored root
+      query->set_root_axis(Axis::kChild);
+      if (random.NextBool(0.5)) {
+        query->SetTag(query->root(),
+                      document.TagName(document.root()));
+      }
+      break;
+  }
+}
+
+/// Random twig grown from one embedding in `indexed` — a root element
+/// and two to four nodes hung one or two levels below bound nodes
+/// ('/' for a direct child, '//' otherwise) — with zero to two
+/// relax_rewrite mistakes on top.
+TwigQuery RandomMistakenTwig(const index::IndexedDocument& indexed,
+                             Random& random) {
+  const xml::Document& document = indexed.document();
+  xml::NodeId root = RandomNode(document, random, [&](xml::NodeId id) {
+    return !ElementChildren(document, id).empty();
+  });
+  TwigQuery query;
+  query.AddRoot(document.TagName(root));
+  std::vector<xml::NodeId> bound = {root};
+  const uint64_t extra = 2 + random.NextBounded(3);
+  for (uint64_t i = 0; i < extra; ++i) {
+    const auto parent =
+        static_cast<QueryNodeId>(random.NextBounded(bound.size()));
+    xml::NodeId element = bound[static_cast<size_t>(parent)];
+    const uint64_t depth = 1 + random.NextBounded(2);
+    for (uint64_t d = 0; d < depth; ++d) {
+      std::vector<xml::NodeId> children = ElementChildren(document, element);
+      if (children.empty()) break;
+      element = children[random.NextBounded(children.size())];
+    }
+    if (element == bound[static_cast<size_t>(parent)]) continue;
+    const bool direct =
+        document.node(element).parent == bound[static_cast<size_t>(parent)];
+    query.AddChild(parent, direct ? Axis::kChild : Axis::kDescendant,
+                   document.TagName(element));
+    bound.push_back(element);
+  }
+  for (uint64_t m = random.NextBounded(3); m > 0; --m) {
+    AddMistake(document, random, &query);
+  }
+  return query;
+}
+
+TEST(SchemaEmptyPlanTest, RandomMistakenTwigsMatchTheOracle) {
+  const index::IndexedDocument corpora[] = {
+      index::IndexedDocument(datagen::GenerateDblpWithApproxNodes(3, 2500)),
+      index::IndexedDocument(datagen::GenerateXmarkWithApproxNodes(5, 2500)),
+      index::IndexedDocument(
+          datagen::GenerateTreebankWithApproxNodes(7, 2500)),
+  };
+  for (const index::IndexedDocument& indexed : corpora) {
+    Random random(23);
+    int schema_empty = 0;
+    int answered = 0;
+    for (int i = 0; i < 60; ++i) {
+      TwigQuery query = RandomMistakenTwig(indexed, random);
+      if (!query.Validate().ok()) continue;
+      SCOPED_TRACE(query.ToString());
+      const bool unbound = HasUnboundNode(indexed, query);
+      const std::vector<Match> expected = BruteForceMatches(indexed, query);
+      // Completeness: an unbound node proves the answer empty.
+      if (unbound) {
+        EXPECT_TRUE(expected.empty());
+      }
+      schema_empty += unbound ? 1 : 0;
+      answered += expected.empty() ? 0 : 1;
+      for (Algorithm algorithm : kAllAlgorithms) {
+        for (bool prune : {false, true}) {
+          plan::PlannerHints hints;
+          hints.algorithm = algorithm;
+          hints.schema_prune_streams = prune;
+          auto plan = plan::Planner(indexed).Plan(query, hints);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          auto result = plan::ExecutePlan(indexed, &*plan);
+          if (algorithm == Algorithm::kPathStack && !query.IsPath()) {
+            EXPECT_FALSE(plan->IsSchemaEmpty());
+            EXPECT_FALSE(result.ok());
+            continue;
+          }
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(plan->IsSchemaEmpty(), unbound)
+              << AlgorithmName(algorithm) << " prune=" << prune;
+          EXPECT_EQ(result->matches, expected)
+              << AlgorithmName(algorithm) << " prune=" << prune;
+          if (unbound) {
+            EXPECT_EQ(result->stats.candidates_scanned, 0u);
+            EXPECT_EQ(result->stats.posting_blocks_decoded, 0u);
+            EXPECT_EQ(result->stats.intermediate_tuples, 0u);
+            EXPECT_EQ(result->stats.estimated_matches, 0.0);
+          }
+        }
+      }
+    }
+    EXPECT_GE(schema_empty, 10);
+    EXPECT_GE(answered, 10);
+  }
+}
+
+/// The stats.algorithm string of `algorithm`'s own join on `query`.
+std::string JoinReportedName(const index::IndexedDocument& indexed,
+                             const TwigQuery& query, Algorithm algorithm,
+                             bool reorder) {
+  switch (algorithm) {
+    case Algorithm::kStructuralJoin:
+      return StructuralJoinEvaluate(indexed, query, nullptr, reorder)
+          .stats.algorithm;
+    case Algorithm::kPathStack:
+      return PathStackEvaluate(indexed, query)->stats.algorithm;
+    case Algorithm::kTwigStack:
+      return TwigStackEvaluate(indexed, query).stats.algorithm;
+    case Algorithm::kTJFast:
+      return TjFastEvaluate(indexed, query).stats.algorithm;
+    case Algorithm::kAuto:
+      return JoinReportedName(indexed, query,
+                              ChooseAlgorithm(indexed, query), reorder);
+  }
+  return "";
+}
+
+TEST(SchemaEmptyPlanTest, StatsNameTheJoinThePlanResolved) {
+  auto indexed = MustIndex(kBibXml);
+  for (std::string_view text : {"//article[author]/titel", "//article/titel",
+                                "//book/article//title"}) {
+    TwigQuery query = Q(text);
+    ASSERT_TRUE(HasUnboundNode(indexed, query)) << text;
+    for (Algorithm algorithm : kAllAlgorithms) {
+      if (algorithm == Algorithm::kPathStack && !query.IsPath()) continue;
+      for (bool reorder : {false, true}) {
+        EvalOptions options;
+        options.algorithm = algorithm;
+        options.reorder_binary_joins = reorder;
+        auto result = Evaluate(indexed, query, options);
+        ASSERT_TRUE(result.ok()) << text;
+        EXPECT_TRUE(result->matches.empty()) << text;
+        EXPECT_EQ(result->stats.algorithm,
+                  JoinReportedName(indexed, query, algorithm, reorder))
+            << text << " " << AlgorithmName(algorithm)
+            << " reorder=" << reorder;
+      }
+    }
+  }
+}
+
+TEST(SchemaEmptyPlanTest, ChoiceIsResolvedAsForAnyPlan) {
+  auto indexed = MustIndex(kBibXml);
+  auto plan = plan::Planner(indexed).Plan(Q("//article[author]/titel"));
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan->IsSchemaEmpty());
+  EXPECT_EQ(plan->algorithm, ChooseAlgorithm(indexed, plan->query));
+  EXPECT_FALSE(plan->choice_reason.empty());
+  EXPECT_EQ(plan->ops[0].query_node, 2);
+  EXPECT_EQ(plan->ops[0].detail, "node 2 <titel> has no DataGuide position");
+  EXPECT_EQ(plan->ops[0].estimated_rows, 0.0);
+}
+
+TEST(SchemaEmptyPlanTest, ForcedPathStackOnATwigStillFails) {
+  auto indexed = MustIndex(kBibXml);
+  EvalOptions options;
+  options.algorithm = Algorithm::kPathStack;
+  auto bound = Evaluate(indexed, Q("//article[author]/title"), options);
+  auto unbound = Evaluate(indexed, Q("//article[author]/titel"), options);
+  ASSERT_FALSE(bound.ok());
+  ASSERT_FALSE(unbound.ok());
+  EXPECT_EQ(unbound.status().ToString(), bound.status().ToString());
+}
+
+TEST(SchemaEmptyPlanTest, ExplainShowsTheOperator) {
+  auto indexed = MustIndex(kBibXml);
+  auto text = plan::ExplainQuery(indexed, Q("//article[author]/titel"));
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("-> schema-empty [node 2 <titel> has no DataGuide "
+                       "position]"),
+            std::string::npos)
+      << *text;
+  EXPECT_EQ(text->find("stream-scan"), std::string::npos) << *text;
+  EXPECT_NE(text->find("actual matches: 0"), std::string::npos) << *text;
+  EXPECT_NE(text->find("totals: scanned 0, intermediate 0"),
+            std::string::npos)
+      << *text;
+}
+
+TEST(SchemaEmptyPlanTest, OperatorCounterIncrements) {
+  ASSERT_TRUE(metrics::Enabled());
+  auto indexed = MustIndex(kBibXml);
+  metrics::Counter* execs = metrics::Registry::Default().GetCounter(
+      "lotusx_plan_operator_execs_total", {{"op", "schema-empty"}});
+  const uint64_t before = execs->value();
+  ASSERT_TRUE(Evaluate(indexed, Q("//article[author]/titel")).ok());
+  EXPECT_EQ(execs->value(), before + 1);
+  ASSERT_TRUE(Evaluate(indexed, Q("//article[author]/title")).ok());
+  EXPECT_EQ(execs->value(), before + 1);
 }
 
 }  // namespace
