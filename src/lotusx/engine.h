@@ -12,46 +12,17 @@
 #include "common/thread_pool.h"
 #include "index/indexed_document.h"
 #include "keyword/keyword_search.h"
-#include "ranking/ranker.h"
-#include "rewrite/rewriter.h"
 #include "lotusx/query_cache.h"
+#include "session/search.h"
 #include "session/session.h"
-#include "twig/evaluator.h"
 
 namespace lotusx {
-
-/// Options of Engine::Search.
-struct SearchOptions {
-  twig::EvalOptions eval;
-  ranking::RankingOptions ranking;
-  /// Invoke the rewriter when the query returns no matches.
-  bool rewrite_on_empty = true;
-  rewrite::RewriteOptions rewrite;
-};
-
-/// Outcome of Engine::Search: the query that ultimately ran, its ranked
-/// answers, engine statistics, and the rewrite chain if one was needed.
-struct SearchResult {
-  twig::TwigQuery executed_query;
-  std::vector<ranking::RankedResult> results;
-  twig::EvalStats stats;
-  std::vector<std::string> rewrites_applied;
-  double rewrite_penalty = 0;
-};
 
 /// One tag-completion request of Engine::CompleteTagBatch.
 struct TagBatchRequest {
   twig::TwigQuery query;
   autocomplete::TagRequest request;
 };
-
-/// Canonical cache key of one (query, options) Search: the query rendering
-/// plus every EvalOptions / RewriteOptions / RankingOptions field that can
-/// change the result or its recorded statistics. Exposed for the cache-key
-/// pinning tests; static_asserts in engine.cc force this function (and the
-/// tests) to be revisited whenever an option struct grows.
-std::string SearchCacheKey(const twig::TwigQuery& query,
-                           const SearchOptions& options);
 
 /// The LotusX engine: the public facade of this library, owning one
 /// indexed XML document and exposing the paper's four capabilities —
@@ -97,8 +68,10 @@ class Engine {
   const index::IndexedDocument& indexed() const { return *indexed_; }
   const xml::Document& document() const { return indexed_->document(); }
 
-  /// Parses the textual twig syntax (see twig/query_parser.h), evaluates,
-  /// ranks, and rewrites on empty results when enabled.
+  /// Parses the textual twig syntax (see twig/query_parser.h) and runs
+  /// the search pipeline (session/search.h): evaluates, rewrites on empty
+  /// results when enabled, and ranks, through the result cache when one
+  /// is enabled.
   StatusOr<SearchResult> Search(std::string_view query_text,
                                 const SearchOptions& options = {}) const;
   /// Same for an already-built query.
@@ -185,7 +158,7 @@ class Engine {
   }
 
   /// One-line XML rendering of a result node (for display), truncated to
-  /// `max_chars`.
+  /// `max_chars`; a truncated rendering ends in "..." when max_chars >= 3.
   std::string Snippet(xml::NodeId node, size_t max_chars = 120) const;
 
   /// Materializes ranked answers as an XML document:
@@ -204,8 +177,6 @@ class Engine {
   // the index.
   std::unique_ptr<index::IndexedDocument> indexed_;
   std::unique_ptr<autocomplete::CompletionEngine> completion_;
-  std::unique_ptr<ranking::Ranker> ranker_;
-  std::unique_ptr<rewrite::Rewriter> rewriter_;
   // mutable: Search() is logically const; the cache is an optimization
   // and is internally synchronized (sharded locks + atomic counters).
   mutable std::unique_ptr<ShardedLruCache<SearchResult>> cache_;

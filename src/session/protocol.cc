@@ -567,7 +567,7 @@ StatusOr<std::string> ProtocolInterpreter::ExecuteCommand(
   }
 
   if (verb == "run") {
-    LOTUSX_ASSIGN_OR_RETURN(SearchResponse response, session_->Run());
+    LOTUSX_ASSIGN_OR_RETURN(SearchResult response, session_->Run());
     std::ostringstream out;
     out << "query: " << response.executed_query.ToString() << "\n";
     if (!response.rewrites_applied.empty()) {

@@ -1,14 +1,8 @@
 #include "session/session.h"
 
-#include "common/metrics.h"
-#include "common/statement_store.h"
-#include "common/timer.h"
 #include "common/trace.h"
-#include "twig/evaluator.h"
-#include "twig/fingerprint.h"
 #include "twig/plan/physical_plan.h"
 #include "twig/query_export.h"
-#include "twig/selectivity.h"
 
 namespace lotusx::session {
 
@@ -16,9 +10,7 @@ Session::Session(const index::IndexedDocument& indexed,
                  SessionOptions options)
     : indexed_(indexed),
       options_(std::move(options)),
-      completion_(indexed),
-      ranker_(indexed),
-      rewriter_(indexed) {}
+      completion_(indexed) {}
 
 StatusOr<std::vector<autocomplete::Candidate>> Session::SuggestTags(
     CanvasNodeId anchor, twig::Axis axis, std::string_view prefix) const {
@@ -65,89 +57,37 @@ StatusOr<std::vector<autocomplete::Candidate>> Session::SuggestValues(
                                    /*position_aware=*/true);
 }
 
-StatusOr<SearchResponse> Session::Run() const {
-  // One trace per canvas run: planner/executor stage spans inside
-  // Evaluate attach to it automatically (see common/trace.h).
+StatusOr<SearchResult> Session::Run() const {
+  // One trace per canvas run: the pipeline's fingerprint and the
+  // planner/executor stage spans inside it attach to it (see
+  // common/trace.h).
   trace::QueryTrace query_trace("session");
   StatusOr<twig::TwigQuery> compiled = [&] {
     trace::StageSpan span(trace::Stage::kParse);
     return canvas_.Compile();
   }();
-  LOTUSX_ASSIGN_OR_RETURN(twig::TwigQuery query, std::move(compiled));
-  query_trace.set_query(query.ToString());
-
-  // Feed the statement store: canvas runs are the serving path (the TCP
-  // server's RUN lands here, not in Engine::Search), so the workload
-  // view must aggregate them too. Fingerprint the *requested* query —
-  // a rewrite is an execution detail of the same statement.
-  const bool record_statement = metrics::Enabled() && stmt::Enabled();
-  uint64_t fingerprint = 0;
-  std::string normalized_query;
-  Timer statement_timer;
-  if (record_statement) {
-    fingerprint = twig::FingerprintQuery(query, {}).value;
-    normalized_query = twig::NormalizedQueryText(query);
-    query_trace.set_fingerprint(fingerprint);
+  if (!compiled.ok()) {
+    CountFailedSearch();
+    return compiled.status();
   }
-  const auto record_execution = [&](bool error, const twig::EvalStats* stats,
-                                    uint64_t rows) {
-    if (!record_statement) return;
-    stmt::ExecutionRecord record;
-    record.fingerprint = fingerprint;
-    record.query_text = normalized_query;
-    record.error = error;
-    record.latency_usec = statement_timer.ElapsedMicros();
-    record.rows = rows;
-    if (stats != nullptr) {
-      record.algorithm = stats->algorithm;
-      record.blocks_decoded = stats->posting_blocks_decoded;
-      record.blocks_skipped = stats->posting_blocks_skipped;
-      record.bytes_decoded = stats->posting_bytes_decoded;
-      record.estimated_rows = stats->estimated_matches;
-      record.actual_rows = stats->matches;
-    }
-    stmt::StatementStore::Default().Record(record);
-  };
-
-  SearchResponse response;
-  StatusOr<twig::QueryResult> evaluated = twig::Evaluate(indexed_, query);
-  if (!evaluated.ok()) {
-    record_execution(true, nullptr, 0);
-    return evaluated.status();
+  query_trace.set_query(compiled->ToString());
+  const SearchOptions options{.eval = {},
+                              .ranking = options_.ranking,
+                              .rewrite_on_empty = options_.rewrite_on_empty,
+                              .rewrite = options_.rewrite};
+  LOTUSX_ASSIGN_OR_RETURN(SearchResult result,
+                          RunSearch(indexed_, *compiled, options));
+  const std::string executed = result.executed_query.ToString();
+  if (executed_queries_.num_keys() < kMaxHistoryQueries ||
+      executed_queries_.Contains(executed)) {
+    executed_queries_.Insert(executed);
   }
-  twig::QueryResult result = *std::move(evaluated);
-  response.executed_query = query;
-  if (result.matches.empty() && options_.rewrite_on_empty) {
-    trace::StageSpan span(trace::Stage::kRewrite);
-    StatusOr<rewrite::RewriteOutcome> rewritten =
-        rewriter_.Rewrite(query, options_.rewrite);
-    if (rewritten.ok()) {
-      response.executed_query = rewritten->query;
-      response.rewrites_applied = rewritten->applied;
-      response.rewrite_penalty = rewritten->penalty;
-      result = std::move(rewritten->result);
-    }
-    // A failed rewrite search simply leaves the empty original result.
-  }
-  executed_queries_.Insert(response.executed_query.ToString());
-  response.stats = result.stats;
-  query_trace.set_detail(std::string(result.stats.algorithm));
-  ranking::RankingOptions ranking_options = options_.ranking;
-  if (ranking_options.top_k == 0) ranking_options.top_k = options_.top_k;
-  {
-    trace::StageSpan span(trace::Stage::kRank);
-    response.results = ranker_.Rank(response.executed_query, result.matches,
-                                    ranking_options);
-  }
-  record_execution(false, &response.stats, response.results.size());
-  return response;
+  return result;
 }
 
 StatusOr<std::vector<keyword::KeywordHit>> Session::FindKeywords(
     std::string_view keywords) const {
-  keyword::KeywordSearchOptions options;
-  options.limit = options_.top_k;
-  return keyword::SlcaSearch(indexed_, keywords, options);
+  return keyword::SlcaSearch(indexed_, keywords);
 }
 
 StatusOr<std::string> Session::ExplainCanvas() const {

@@ -7,33 +7,20 @@
 #include "autocomplete/completion.h"
 #include "common/status_or.h"
 #include "index/indexed_document.h"
-#include "keyword/keyword_search.h"
-#include "ranking/ranker.h"
-#include "rewrite/rewriter.h"
 #include "index/trie.h"
+#include "keyword/keyword_search.h"
 #include "session/canvas.h"
+#include "session/search.h"
 
 namespace lotusx::session {
 
-/// What Run() hands back to the UI: ranked answers plus provenance (which
-/// query actually ran — the drawn one or a rewrite — and the engine
-/// statistics).
-struct SearchResponse {
-  twig::TwigQuery executed_query;
-  std::vector<ranking::RankedResult> results;
-  twig::EvalStats stats;
-  /// Non-empty when the rewriter had to step in.
-  std::vector<std::string> rewrites_applied;
-  double rewrite_penalty = 0;
-};
-
 struct SessionOptions {
   size_t completion_limit = 10;
-  size_t top_k = 20;
   /// Fall back to query rewriting when the drawn query has no answers.
   bool rewrite_on_empty = true;
   rewrite::RewriteOptions rewrite;
-  ranking::RankingOptions ranking;
+  /// A canvas run keeps the 20 best answers unless told otherwise.
+  ranking::RankingOptions ranking{.top_k = 20};
 };
 
 /// One interactive LotusX session: a canvas being edited against an
@@ -64,9 +51,10 @@ class Session {
   StatusOr<std::vector<autocomplete::Candidate>> SuggestValues(
       CanvasNodeId id, std::string_view prefix) const;
 
-  /// Compiles the canvas, executes, ranks, and (when enabled and the
-  /// result set is empty) rewrites.
-  StatusOr<SearchResponse> Run() const;
+  /// Compiles the canvas and runs it through the search pipeline
+  /// (session/search.h): executes, (when enabled and the result set is
+  /// empty) rewrites, and ranks. The query that ran joins the history.
+  StatusOr<SearchResult> Run() const;
 
   /// Schema-free SLCA keyword search over the session's document; the
   /// FIND protocol command. Results let the user discover structure
@@ -83,6 +71,11 @@ class Session {
   StatusOr<std::string> CanvasToXPath() const;
   StatusOr<std::string> CanvasToXQuery() const;
 
+  /// Distinct queries the history keeps. Past it, only queries already in
+  /// the history gain weight, so one long-lived connection cannot grow
+  /// the server's memory without bound.
+  static constexpr size_t kMaxHistoryQueries = 1024;
+
   /// Previously executed queries matching `prefix`, most frequent first —
   /// the search-box history dropdown.
   std::vector<std::string> QueryHistory(std::string_view prefix,
@@ -98,8 +91,6 @@ class Session {
   SessionOptions options_;
   Canvas canvas_;
   autocomplete::CompletionEngine completion_;
-  ranking::Ranker ranker_;
-  rewrite::Rewriter rewriter_;
   std::vector<Canvas> history_;
   // Run() is logically const; recording executed queries is bookkeeping.
   mutable index::Trie executed_queries_;

@@ -148,6 +148,28 @@ TEST(QueryHistoryTest, RecordsExecutedQueries) {
   EXPECT_EQ(session.QueryHistory("//a").size(), 1u);
 }
 
+TEST(QueryHistoryTest, StopsAddingDistinctQueriesAtTheCap) {
+  auto indexed = MustIndex("<r><a><b>x</b></a></r>");
+  SessionOptions options;
+  options.rewrite_on_empty = false;
+  Session session(indexed, options);
+  const auto run = [&](const std::string& tag) {
+    session.canvas().Reset();
+    session.canvas().AddNode(0, 0, tag);
+    ASSERT_TRUE(session.Run().ok());
+  };
+  const size_t cap = Session::kMaxHistoryQueries;
+  for (size_t i = 0; i < cap + 10; ++i) run("t" + std::to_string(i));
+  const std::vector<std::string> all = session.QueryHistory("", cap + 10);
+  EXPECT_EQ(all.size(), cap);
+  EXPECT_TRUE(session.QueryHistory("//t" + std::to_string(cap)).empty());
+  // A query already kept still gains weight past the cap.
+  run("t7");
+  EXPECT_EQ(session.QueryHistory("", 1), std::vector<std::string>{"//t7!"});
+  run("a");
+  EXPECT_TRUE(session.QueryHistory("//a").empty());
+}
+
 TEST(QueryHistoryTest, ProtocolHistoryCommand) {
   auto indexed = MustIndex("<r><a><b>x</b></a></r>");
   Session session(indexed);

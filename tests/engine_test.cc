@@ -139,6 +139,12 @@ TEST(EngineTest, SnippetRendersNodes) {
   std::string tiny = engine->Snippet(result->results[0].output, 10);
   EXPECT_LE(tiny.size(), 10u);
   EXPECT_EQ(tiny.substr(tiny.size() - 3), "...");
+  // Budgets too small for the ellipsis get a bare prefix.
+  for (size_t max_chars = 0; max_chars <= 3; ++max_chars) {
+    std::string cut = engine->Snippet(result->results[0].output, max_chars);
+    EXPECT_EQ(cut, max_chars == 3 ? "..." : snippet.substr(0, max_chars))
+        << max_chars;
+  }
 }
 
 TEST(EngineTest, SessionIntegration) {

@@ -5,14 +5,19 @@
 
 #include "common/coding.h"
 #include "common/metrics.h"
+#include "common/statement_store.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
+#include "datagen/datagen.h"
 #include "lotusx/engine.h"
 #include "session/canvas.h"
+#include "session/canvas_io.h"
 #include "session/protocol.h"
 #include "session/session.h"
 #include "tests/test_util.h"
+#include "twig/fingerprint.h"
 #include "twig/query_parser.h"
+#include "xml/writer.h"
 
 namespace lotusx::session {
 namespace {
@@ -453,6 +458,132 @@ TEST(StatsVerbTest, ExpositionCoversPipelineAfterWorkload) {
   ASSERT_TRUE(doc_stats.ok());
   EXPECT_NE(doc_stats->find("distinct paths"), std::string::npos);
   EXPECT_FALSE(interpreter.Execute("STATS nonsense").ok());
+}
+
+// ------------------------------------------------------- Search pipeline
+
+// A canvas RUN and Engine::Search run one pipeline: on the same query
+// with the session's default options they agree on every field of the
+// result, and a RUN counts and records like a library search.
+class SearchPipelineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    datagen::DblpOptions options;
+    options.num_publications = 300;
+    auto engine = Engine::FromXmlText(xml::WriteXml(datagen::GenerateDblp(options)));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::make_unique<Engine>(*std::move(engine));
+    stmt::StatementStore::Default().Reset();
+  }
+
+  static uint64_t Counter(const char* name) {
+    return metrics::Registry::Default().Snapshot().CounterTotal(name);
+  }
+
+  // Executions the statement store recorded, over every shape.
+  static uint64_t StatementCalls() {
+    stmt::StatementStore& store = stmt::StatementStore::Default();
+    uint64_t calls = 0;
+    for (const stmt::StatementSnapshot& row : store.Top(store.capacity())) {
+      calls += row.calls;
+    }
+    return calls;
+  }
+
+  std::unique_ptr<Engine> engine_;
+};
+
+TEST_F(SearchPipelineTest, RunMatchesEngineSearch) {
+  enum class Kind { kBroad, kRewritten, kRewriteFails, kSchemaEmpty };
+  const std::vector<std::pair<std::string, Kind>> cases = {
+      {"//article[author]/title", Kind::kBroad},
+      {"//dblp//author", Kind::kBroad},
+      {"//inproceedings[booktitle][year]/title", Kind::kBroad},
+      {"//article[jornal]/author", Kind::kRewritten},  // misspelled branch
+      {"//dblp/title", Kind::kRewritten},              // wrong axis
+      {"//qqqqqqqqqqqq[zzzzzzzzzzzz][yyyyyyyyyyyy]/xxxxxxxxxxxx",
+       Kind::kRewriteFails},
+      {"//book[booktitle]/title", Kind::kSchemaEmpty},
+  };
+  Session session = engine_->NewSession();
+  SearchOptions options;
+  options.ranking.top_k = 20;
+  ASSERT_EQ(SearchCacheKey(twig::TwigQuery(), options),
+            SearchCacheKey(twig::TwigQuery(),
+                           SearchOptions{
+                               .eval = {},
+                               .ranking = session.options().ranking,
+                               .rewrite_on_empty = session.options().rewrite_on_empty,
+                               .rewrite = session.options().rewrite}));
+
+  for (const auto& [text, kind] : cases) {
+    SCOPED_TRACE(text);
+    auto query = twig::ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    session.canvas() = CanvasFromQuery(*query);
+
+    const uint64_t searches = Counter("lotusx_search_total");
+    const uint64_t calls = StatementCalls();
+    auto run = session.Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(Counter("lotusx_search_total"), searches + 1);
+    EXPECT_EQ(StatementCalls(), calls + 1);
+    // The row is keyed by the drawn query, not by its rewrite.
+    EXPECT_TRUE(stmt::StatementStore::Default()
+                    .Find(twig::FingerprintQuery(*query, {}).value)
+                    .has_value());
+
+    auto search = engine_->Search(*query, options);
+    ASSERT_TRUE(search.ok()) << search.status().ToString();
+    EXPECT_EQ(run->executed_query.ToString(), search->executed_query.ToString());
+    ASSERT_EQ(run->results.size(), search->results.size());
+    for (size_t i = 0; i < run->results.size(); ++i) {
+      EXPECT_EQ(run->results[i].output, search->results[i].output) << i;
+      EXPECT_EQ(run->results[i].score, search->results[i].score) << i;
+    }
+    EXPECT_EQ(run->stats.algorithm, search->stats.algorithm);
+    EXPECT_EQ(run->stats.matches, search->stats.matches);
+    EXPECT_EQ(run->rewrites_applied, search->rewrites_applied);
+    EXPECT_EQ(run->rewrite_penalty, search->rewrite_penalty);
+
+    // Each case exercises the pipeline branch it is named for.
+    switch (kind) {
+      case Kind::kBroad:
+        EXPECT_TRUE(run->rewrites_applied.empty());
+        EXPECT_EQ(run->results.size(), 20u);
+        break;
+      case Kind::kRewritten:
+        EXPECT_FALSE(run->rewrites_applied.empty());
+        EXPECT_FALSE(run->results.empty());
+        break;
+      case Kind::kRewriteFails:
+        EXPECT_TRUE(run->rewrites_applied.empty());
+        EXPECT_TRUE(run->results.empty());
+        break;
+      case Kind::kSchemaEmpty: {
+        SearchOptions drawn_only = options;
+        drawn_only.rewrite_on_empty = false;
+        auto drawn = engine_->Search(*query, drawn_only);
+        ASSERT_TRUE(drawn.ok());
+        EXPECT_EQ(drawn->stats.matches, 0u);
+        EXPECT_EQ(drawn->stats.candidates_scanned, 0u);
+        EXPECT_FALSE(run->rewrites_applied.empty());
+        break;
+      }
+    }
+  }
+}
+
+TEST_F(SearchPipelineTest, CanvasThatFailsToCompileCountsAsFailedSearch) {
+  Session session = engine_->NewSession();
+  session.canvas().AddNode(0, 0, "");  // an untagged box does not compile
+  const uint64_t searches = Counter("lotusx_search_total");
+  const uint64_t errors = Counter("lotusx_search_errors_total");
+  const uint64_t calls = StatementCalls();
+  EXPECT_FALSE(session.Run().ok());
+  EXPECT_EQ(Counter("lotusx_search_total"), searches + 1);
+  EXPECT_EQ(Counter("lotusx_search_errors_total"), errors + 1);
+  EXPECT_EQ(StatementCalls(), calls);
 }
 
 }  // namespace
