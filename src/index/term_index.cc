@@ -1,7 +1,9 @@
 #include "index/term_index.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
+#include <numeric>
 
 #include "common/invariant.h"
 #include "common/string_util.h"
@@ -11,46 +13,136 @@ namespace lotusx::index {
 TermIndex TermIndex::Build(const xml::Document& document) {
   CHECK(document.finalized());
   TermIndex index;
-  // Accumulate raw per-term postings first; compress once complete.
+  // One pass over the value nodes interns each distinct term once (term ->
+  // dense id) and appends to its raw postings; compression and the
+  // completion tries come after, one insert per distinct key.
   struct RawList {
     std::vector<uint32_t> nodes;
     std::vector<uint32_t> frequencies;
+    uint64_t collection_frequency = 0;
   };
-  std::unordered_map<std::string, RawList> raw;
+  std::unordered_map<std::string, uint32_t, TermHash, std::equal_to<>> ids;
+  std::vector<const std::string*> terms;  // id -> term; map keys are stable
+  std::vector<RawList> raw;
+  // Summed term frequency per (owner tag, term id), keyed tag << 32 | id.
+  std::unordered_map<uint64_t, uint64_t> tag_weights;
+
+  // A value node's tokens, lowercased and laid end to end in one reused
+  // buffer; `spans` holds each token's (offset, length) in it.
+  std::string text;
+  std::vector<std::pair<size_t, size_t>> spans;
+  std::vector<std::string_view> tokens;
+  // Tokenizes exactly as TokenizeKeywords; `value` ends any open token,
+  // as the separator ContentString puts between text children does.
+  auto tokenize = [&](std::string_view value) {
+    size_t start = text.size();
+    for (char c : value) {
+      const auto byte = static_cast<unsigned char>(c);
+      if (std::isalnum(byte)) {
+        text += static_cast<char>(std::tolower(byte));
+        continue;
+      }
+      if (text.size() > start) {
+        spans.emplace_back(start, text.size() - start);
+        start = text.size();
+      }
+    }
+    if (text.size() > start) spans.emplace_back(start, text.size() - start);
+  };
+
   for (xml::NodeId id = 0; id < document.num_nodes(); ++id) {
     const xml::Document::Node& node = document.node(id);
-    std::string content;
+    text.clear();
+    spans.clear();
     if (node.kind == xml::NodeKind::kElement) {
-      content = document.ContentString(id);
-      if (content.empty()) continue;
+      for (xml::NodeId child = node.first_child; child != xml::kInvalidNodeId;
+           child = document.node(child).next_sibling) {
+        if (document.node(child).kind == xml::NodeKind::kText) {
+          tokenize(document.Value(child));
+        }
+      }
     } else if (node.kind == xml::NodeKind::kAttribute) {
-      content = std::string(document.Value(id));
+      tokenize(document.Value(id));
     } else {
       continue;
     }
-    std::vector<std::string> tokens = TokenizeKeywords(content);
-    if (tokens.empty()) continue;
+    if (spans.empty()) continue;
     ++index.num_value_nodes_;
-    // Aggregate term frequencies within this value node.
-    std::map<std::string, uint32_t> frequencies;
-    for (std::string& token : tokens) ++frequencies[std::move(token)];
-    for (const auto& [term, tf] : frequencies) {
-      RawList& list = raw[term];
+    // Views into `text` are taken only now: appends may have moved it.
+    tokens.clear();
+    for (const auto& [offset, length] : spans) {
+      tokens.emplace_back(text.data() + offset, length);
+    }
+    std::sort(tokens.begin(), tokens.end());
+    const uint64_t tag_key = static_cast<uint64_t>(
+                                 static_cast<uint32_t>(node.tag))
+                             << 32;
+    for (size_t i = 0; i < tokens.size();) {
+      size_t run_end = i + 1;
+      while (run_end < tokens.size() && tokens[run_end] == tokens[i]) {
+        ++run_end;
+      }
+      const auto tf = static_cast<uint32_t>(run_end - i);
+      auto it = ids.find(tokens[i]);
+      if (it == ids.end()) {
+        it = ids.emplace(std::string(tokens[i]),
+                         static_cast<uint32_t>(terms.size()))
+                 .first;
+        terms.push_back(&it->first);
+        raw.emplace_back();
+      }
+      RawList& list = raw[it->second];
       list.nodes.push_back(static_cast<uint32_t>(id));
       list.frequencies.push_back(tf);
-      index.term_trie_.Insert(term, tf);
-      index.tag_tries_[node.tag].Insert(term, tf);
+      list.collection_frequency += tf;
+      tag_weights[tag_key | it->second] += tf;
+      i = run_end;
     }
   }
-  index.postings_.reserve(raw.size());
-  for (auto& [term, list] : raw) {
+
+  // Ids in lexicographic term order: every trie receives its keys sorted,
+  // so each new child lands at the end of its parent's children.
+  std::vector<uint32_t> order(terms.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return *terms[a] < *terms[b];
+  });
+  std::vector<uint32_t> rank(terms.size());
+  index.postings_.reserve(terms.size());
+  for (uint32_t r = 0; r < order.size(); ++r) {
+    const uint32_t term_id = order[r];
+    rank[term_id] = r;
+    RawList& list = raw[term_id];
+    index.term_trie_.Insert(*terms[term_id], list.collection_frequency);
     PostingList compressed;
     compressed.postings =
         PostingBlocks::FromSorted(list.nodes, list.frequencies);
-    for (uint32_t tf : list.frequencies) {
-      compressed.collection_frequency += tf;
+    compressed.collection_frequency = list.collection_frequency;
+    index.postings_.emplace(*terms[term_id], std::move(compressed));
+  }
+
+  // Each (tag, term) once into its tag trie, grouped by tag, terms sorted.
+  struct TagTerm {
+    uint32_t tag;
+    uint32_t rank;
+    uint64_t weight;
+  };
+  std::vector<TagTerm> tag_terms;
+  tag_terms.reserve(tag_weights.size());
+  for (const auto& [key, weight] : tag_weights) {
+    tag_terms.push_back({static_cast<uint32_t>(key >> 32),
+                         rank[static_cast<uint32_t>(key)], weight});
+  }
+  std::sort(tag_terms.begin(), tag_terms.end(),
+            [](const TagTerm& a, const TagTerm& b) {
+              return a.tag != b.tag ? a.tag < b.tag : a.rank < b.rank;
+            });
+  Trie* trie = nullptr;
+  for (size_t i = 0; i < tag_terms.size(); ++i) {
+    if (i == 0 || tag_terms[i].tag != tag_terms[i - 1].tag) {
+      trie = &index.tag_tries_[static_cast<xml::TagId>(tag_terms[i].tag)];
     }
-    index.postings_.emplace(term, std::move(compressed));
+    trie->Insert(*terms[order[tag_terms[i].rank]], tag_terms[i].weight);
   }
   return index;
 }

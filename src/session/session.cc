@@ -117,7 +117,10 @@ std::vector<std::string> Session::QueryHistory(std::string_view prefix,
   return queries;
 }
 
-void Session::Checkpoint() { history_.push_back(canvas_); }
+void Session::Checkpoint() {
+  if (history_.size() == kMaxUndoDepth) history_.pop_front();
+  history_.push_back(canvas_);
+}
 
 Status Session::Undo() {
   if (history_.empty()) {

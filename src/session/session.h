@@ -1,6 +1,7 @@
 #ifndef LOTUSX_SESSION_SESSION_H_
 #define LOTUSX_SESSION_SESSION_H_
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,14 @@ class Session {
   std::vector<std::string> QueryHistory(std::string_view prefix,
                                         size_t limit = 5) const;
 
-  /// Snapshot / undo support: the canvas state stack.
+  /// Canvas snapshots the undo stack keeps. PARSE, EXAMPLE and
+  /// LOADCANVAS checkpoint on every call, so past it the oldest snapshot
+  /// is dropped: one long-lived connection cannot grow the server's
+  /// memory without bound.
+  static constexpr size_t kMaxUndoDepth = 64;
+
+  /// Snapshot / undo support: the canvas state stack, newest
+  /// kMaxUndoDepth states.
   void Checkpoint();
   Status Undo();
   size_t undo_depth() const { return history_.size(); }
@@ -91,7 +99,7 @@ class Session {
   SessionOptions options_;
   Canvas canvas_;
   autocomplete::CompletionEngine completion_;
-  std::vector<Canvas> history_;
+  std::deque<Canvas> history_;
   // Run() is logically const; recording executed queries is bookkeeping.
   mutable index::Trie executed_queries_;
 };

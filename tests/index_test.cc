@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "index/dataguide.h"
 #include "index/indexed_document.h"
@@ -265,6 +271,172 @@ TEST(TermIndexTest, PersistenceRoundTrip) {
             terms.CollectionFrequency("search"));
   EXPECT_EQ(decoded->term_trie().Complete("s", 5),
             terms.term_trie().Complete("s", 5));
+}
+
+// ------------------------------------------------------ TermIndex::Build
+
+// The per-occurrence build the one-pass TermIndex::Build replaced, kept as
+// its differential oracle: ContentString per value node, a std::map of
+// term frequencies, and one global plus one tag trie insert per (term,
+// node) occurrence.
+struct OracleTermIndex {
+  struct RawList {
+    std::vector<uint32_t> nodes;
+    std::vector<uint32_t> frequencies;
+    uint64_t collection_frequency = 0;
+  };
+  std::map<std::string, RawList> postings;
+  uint32_t num_value_nodes = 0;
+  Trie term_trie;
+  std::map<xml::TagId, Trie> tag_tries;
+};
+
+OracleTermIndex BuildOracle(const Document& document) {
+  OracleTermIndex oracle;
+  for (NodeId id = 0; id < document.num_nodes(); ++id) {
+    const Document::Node& node = document.node(id);
+    std::string content;
+    if (node.kind == xml::NodeKind::kElement) {
+      content = document.ContentString(id);
+      if (content.empty()) continue;
+    } else if (node.kind == xml::NodeKind::kAttribute) {
+      content = std::string(document.Value(id));
+    } else {
+      continue;
+    }
+    std::vector<std::string> tokens = TokenizeKeywords(content);
+    if (tokens.empty()) continue;
+    ++oracle.num_value_nodes;
+    std::map<std::string, uint32_t> frequencies;
+    for (std::string& token : tokens) ++frequencies[std::move(token)];
+    for (const auto& [term, tf] : frequencies) {
+      OracleTermIndex::RawList& list = oracle.postings[term];
+      list.nodes.push_back(static_cast<uint32_t>(id));
+      list.frequencies.push_back(tf);
+      list.collection_frequency += tf;
+      oracle.term_trie.Insert(term, tf);
+      oracle.tag_tries[node.tag].Insert(term, tf);
+    }
+  }
+  return oracle;
+}
+
+// `actual` holds the same keys, weights and shape as `expected`, and
+// completes every one- and two-byte prefix of its keys alike.
+void ExpectSameTrie(const Trie& actual, const Trie& expected) {
+  std::vector<Completion> keys = expected.Enumerate("");
+  EXPECT_EQ(actual.Enumerate(""), keys);
+  EXPECT_EQ(actual.num_keys(), expected.num_keys());
+  EXPECT_EQ(actual.num_nodes(), expected.num_nodes());
+  EXPECT_EQ(actual.MemoryUsage(), expected.MemoryUsage());
+  EXPECT_TRUE(actual.ValidateInvariants().ok());
+  std::set<std::string> prefixes;
+  for (const Completion& key : keys) {
+    for (size_t length = 1; length <= 2 && length <= key.key.size();
+         ++length) {
+      prefixes.insert(key.key.substr(0, length));
+    }
+  }
+  for (const std::string& prefix : prefixes) {
+    EXPECT_EQ(actual.Complete(prefix, 10), expected.Complete(prefix, 10))
+        << "prefix '" << prefix << "'";
+  }
+}
+
+void ExpectMatchesOracle(const Document& document) {
+  const TermIndex index = TermIndex::Build(document);
+  const OracleTermIndex oracle = BuildOracle(document);
+  EXPECT_EQ(index.num_terms(), oracle.postings.size());
+  EXPECT_EQ(index.num_value_nodes(), oracle.num_value_nodes);
+  for (const auto& [term, list] : oracle.postings) {
+    const PostingBlocks* blocks = index.PostingsFor(term);
+    ASSERT_NE(blocks, nullptr) << "missing term '" << term << "'";
+    EXPECT_EQ(blocks->DecodeKeys(), list.nodes) << "term '" << term << "'";
+    EXPECT_EQ(blocks->DecodePayloads(), list.frequencies)
+        << "term '" << term << "'";
+    EXPECT_EQ(index.CollectionFrequency(term), list.collection_frequency)
+        << "term '" << term << "'";
+  }
+  {
+    SCOPED_TRACE("global trie");
+    ExpectSameTrie(index.term_trie(), oracle.term_trie);
+  }
+  for (xml::TagId tag = 0; tag < document.num_tags(); ++tag) {
+    SCOPED_TRACE("tag trie " + std::string(document.tag_name(tag)));
+    auto it = oracle.tag_tries.find(tag);
+    const Trie* trie = index.term_trie_for_tag(tag);
+    if (it == oracle.tag_tries.end()) {
+      EXPECT_EQ(trie, nullptr);
+      continue;
+    }
+    ASSERT_NE(trie, nullptr);
+    ExpectSameTrie(*trie, it->second);
+  }
+  Status status = index.ValidateInvariants(document, /*deep=*/true);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(TermIndexBuildTest, GeneratedCorporaMatchThePerOccurrenceBuild) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    {
+      SCOPED_TRACE("dblp");
+      ExpectMatchesOracle(datagen::GenerateDblpWithApproxNodes(seed, 3000));
+    }
+    {
+      SCOPED_TRACE("xmark");
+      ExpectMatchesOracle(datagen::GenerateXmarkWithApproxNodes(seed, 3000));
+    }
+    {
+      SCOPED_TRACE("treebank");
+      ExpectMatchesOracle(
+          datagen::GenerateTreebankWithApproxNodes(seed, 3000));
+    }
+    {
+      SCOPED_TRACE("store");
+      ExpectMatchesOracle(datagen::GenerateStoreWithApproxNodes(seed, 3000));
+    }
+  }
+}
+
+TEST(TermIndexBuildTest, EdgeCasesMatchThePerOccurrenceBuild) {
+  // Text split by a child element, whitespace-only and punctuation-only
+  // content, entities and CDATA, bytes >= 0x80 (separators), case and
+  // digits, attribute values, a term repeated within one node, and one
+  // term under several tags.
+  Document doc = MustParse(
+      "<root>"
+      "<t>ab<x/>cd</t>"
+      "<w>  \n\t </w>"
+      "<p>!!! -- ...;</p>"
+      "<e>Tom &amp; Jerry &lt;3 <![CDATA[raw<data>&here]]></e>"
+      "<h>caf\xc3\xa9s na\xc3\xafve</h>"
+      "<u>ABC abc Abc 42 x42Y</u>"
+      "<a k=\"Key VALUE k\" q=\"--\">text</a>"
+      "<r>go go stop go</r>"
+      "<m>shared</m><n>shared shared</n><n k=\"shared\"/>"
+      "</root>");
+  ExpectMatchesOracle(doc);
+  TermIndex terms = TermIndex::Build(doc);
+  EXPECT_EQ(terms.DocFrequency("ab"), 1u);
+  EXPECT_EQ(terms.DocFrequency("cd"), 1u);
+  EXPECT_EQ(terms.DocFrequency("abcd"), 0u);
+  EXPECT_EQ(terms.term_trie_for_tag(doc.FindTag("w")), nullptr);
+  EXPECT_EQ(terms.term_trie_for_tag(doc.FindTag("p")), nullptr);
+  EXPECT_EQ(terms.term_trie_for_tag(doc.FindTag("@q")), nullptr);
+  EXPECT_EQ(terms.DocFrequency("raw"), 1u);
+  EXPECT_EQ(terms.DocFrequency("caf"), 1u);
+  EXPECT_EQ(terms.DocFrequency("ve"), 1u);
+  EXPECT_EQ(terms.CollectionFrequency("abc"), 3u);
+  EXPECT_EQ(terms.DocFrequency("x42y"), 1u);
+  EXPECT_EQ(terms.CollectionFrequency("k"), 1u);
+  EXPECT_EQ(terms.TermFrequencyIn("go", terms.DecodePostings("go")[0]), 3u);
+  EXPECT_EQ(terms.DocFrequency("shared"), 3u);
+  EXPECT_EQ(terms.CollectionFrequency("shared"), 4u);
+  EXPECT_EQ(terms.term_trie_for_tag(doc.FindTag("n"))->WeightOf("shared"),
+            2u);
+  EXPECT_EQ(terms.term_trie_for_tag(doc.FindTag("@k"))->WeightOf("shared"),
+            1u);
 }
 
 // -------------------------------------------------------- IndexedDocument

@@ -215,6 +215,25 @@ TEST(SessionTest, UndoRestoresCanvas) {
               session.Undo().code() == StatusCode::kFailedPrecondition);
 }
 
+TEST(SessionTest, UndoStackKeepsTheNewestCheckpoints) {
+  auto indexed = MustIndex(kXml);
+  Session session(indexed);
+  // Checkpoint k snapshots a canvas of k boxes.
+  const size_t checkpoints = Session::kMaxUndoDepth + 10;
+  for (size_t k = 0; k < checkpoints; ++k) {
+    session.Checkpoint();
+    session.canvas().AddNode(0, static_cast<double>(k), "article");
+  }
+  EXPECT_EQ(session.undo_depth(), Session::kMaxUndoDepth);
+  for (size_t k = checkpoints; k-- > checkpoints - Session::kMaxUndoDepth;) {
+    ASSERT_TRUE(session.Undo().ok()) << "undo to checkpoint " << k;
+    EXPECT_EQ(session.canvas().nodes().size(), k);
+  }
+  EXPECT_EQ(session.undo_depth(), 0u);
+  EXPECT_EQ(session.Undo().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.canvas().nodes().size(), 10u);
+}
+
 // -------------------------------------------------------------- Protocol
 
 class ProtocolTest : public ::testing::Test {
