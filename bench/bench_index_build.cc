@@ -3,12 +3,12 @@
 // component, and persistence round-trip (file size, save/load time).
 //
 // Expected shape: every build phase is linear in document size; the
-// extended-Dewey labels cost the most label memory (they encode tag
-// paths); the keyword index is the largest build phase (it tokenizes
-// every value node once, interns each distinct term once and inserts
-// each completion-trie key once, in sorted order); loading a saved image
-// still beats re-indexing from XML, because neither the parse nor the
-// tokenization reruns.
+// extended-Dewey labels (the only label store; region labels are the
+// DOM's own fields) cost 4 + 4 * depth bytes a node; the keyword index
+// is the largest build phase (it tokenizes every value node once,
+// interns each distinct term once and inserts each completion-trie key
+// once, in sorted order); loading a saved image still beats re-indexing
+// from XML, because neither the parse nor the tokenization reruns.
 //
 // The --json report carries heap allocations per operation for the
 // parse, the whole index build, and a separate TermIndex::Build over the
@@ -71,15 +71,11 @@ void RunSize(std::string_view corpus, xml::Document document, Table* build,
       std::string(corpus) + "/" + std::to_string(nodes);
   build->AddRow({label, Fmt(parse_ms, 1), Fmt(stats.dataguide_ms, 1),
                  Fmt(stats.tag_streams_ms, 1), Fmt(stats.term_index_ms, 1),
-                 Fmt(stats.containment_ms, 1),
-                 Fmt(stats.dewey_ms + stats.extended_dewey_ms +
-                         stats.transducer_ms,
-                     1),
+                 Fmt(stats.extended_dewey_ms + stats.transducer_ms, 1),
                  Fmt(stats.total_ms + parse_ms, 1)});
 
   auto mib = [](size_t bytes) { return Fmt(bytes / (1024.0 * 1024.0), 2); };
   memory->AddRow({label, mib(stats.document_bytes),
-                  mib(stats.containment_bytes), mib(stats.dewey_bytes),
                   mib(stats.extended_dewey_bytes),
                   mib(stats.dataguide_bytes), mib(stats.tag_streams_bytes),
                   mib(stats.term_index_bytes), mib(stats.total_bytes())});
@@ -117,11 +113,11 @@ void RunSize(std::string_view corpus, xml::Document document, Table* build,
 int main(int argc, char** argv) {
   std::printf("E7: index construction, footprint, persistence\n\n");
   lotusx::bench::Table build({"corpus/nodes", "parse ms", "dataguide ms",
-                              "streams ms", "terms ms", "containment ms",
-                              "dewey+ext ms", "total ms"});
-  lotusx::bench::Table memory({"corpus/nodes", "doc MiB", "contain MiB",
-                               "dewey MiB", "extdewey MiB", "guide MiB",
-                               "streams MiB", "terms MiB", "total MiB"});
+                              "streams ms", "terms ms", "extdewey ms",
+                              "total ms"});
+  lotusx::bench::Table memory({"corpus/nodes", "doc MiB", "extdewey MiB",
+                               "guide MiB", "streams MiB", "terms MiB",
+                               "total MiB"});
   lotusx::bench::Table persist({"corpus/nodes", "file MiB", "save ms",
                                 "load ms", "rebuild ms"});
 
@@ -148,7 +144,6 @@ int main(int argc, char** argv) {
   persist.Print();
   std::printf(
       "\nexpected shape: all phases linear in nodes; the term index is\n"
-      "the largest build phase; extended Dewey is the largest label store;\n"
-      "load beats rebuild-from-XML.\n");
+      "the largest build phase; load beats rebuild-from-XML.\n");
   return lotusx::bench::WriteJsonIfRequested(argc, argv);
 }

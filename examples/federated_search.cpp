@@ -1,7 +1,7 @@
 // Federated search over several documents at once (lotusx::Collection),
-// plus the introspection features: EXPLAIN plans, cardinality estimates,
-// XPath/XQuery export of canvas queries, SVG rendering, and the query
-// result cache.
+// plus the introspection features: EXPLAIN plans with estimated vs actual
+// cardinalities, XPath/XQuery export of canvas queries, SVG rendering, and
+// the query result cache.
 
 #include <iostream>
 
@@ -10,7 +10,6 @@
 #include "session/svg_export.h"
 #include "twig/query_export.h"
 #include "twig/query_parser.h"
-#include "twig/selectivity.h"
 #include "xml/writer.h"
 
 int main() {
@@ -73,7 +72,7 @@ int main() {
   auto dblp = collection.Find("dblp");
   auto query =
       lotusx::twig::ParseQuery(R"(//article[year[="2005"]]/title)").value();
-  std::cout << *lotusx::twig::Explain((*dblp)->indexed(), query) << "\n";
+  std::cout << *(*dblp)->Explain(query) << "\n";
 
   // --- Export the same query for external engines. -------------------------
   std::cout << "as XPath:  " << *lotusx::twig::ToXPath(query) << "\n";

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -207,7 +208,10 @@ uint64_t SignalsDelivered() {
 bool Busy() { return g_collecting.load(std::memory_order_relaxed); }
 
 StatusOr<ProfileResult> Collect(Mode mode, double duration_ms, int hz) {
-  duration_ms = std::clamp(duration_ms, 10.0, 10'000.0);
+  // std::clamp passes NaN through; a non-finite duration takes the floor.
+  duration_ms = std::isfinite(duration_ms)
+                    ? std::clamp(duration_ms, 10.0, 10'000.0)
+                    : 10.0;
   hz = std::clamp(hz, 1, 1000);
 
   if (g_collecting.exchange(true, std::memory_order_acq_rel)) {

@@ -73,10 +73,11 @@ struct ProfileResult {
 };
 
 /// Collects one profile, blocking the calling thread for `duration_ms`
-/// (clamped to [10ms, 10s]). `hz` is the target sampling frequency
-/// (clamped to [1, 1000]; default 99 — prime, so it cannot alias with
-/// millisecond-periodic work). Fails with FailedPrecondition when a
-/// profile is already running.
+/// (clamped to [10ms, 10s]; a non-finite duration takes the 10ms
+/// floor). `hz` is the target sampling frequency (clamped to [1, 1000];
+/// default 99 — prime, so it cannot alias with millisecond-periodic
+/// work). Fails with FailedPrecondition when a profile is already
+/// running.
 StatusOr<ProfileResult> Collect(Mode mode, double duration_ms, int hz = 99);
 
 /// Renders the classic collapsed-stack text format, one line per

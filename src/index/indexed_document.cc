@@ -54,14 +54,6 @@ IndexedDocument::IndexedDocument(xml::Document document, LoadedParts parts)
 
 void IndexedDocument::BuildDerivedIndexes() {
   Timer timer;
-  containment_ = labeling::ContainmentLabels::Build(document_);
-  stats_.containment_ms = timer.ElapsedMillis();
-
-  timer.Restart();
-  dewey_ = labeling::DeweyStore::Build(document_);
-  stats_.dewey_ms = timer.ElapsedMillis();
-
-  timer.Restart();
   transducer_ = labeling::TagTransducer::Build(document_);
   stats_.transducer_ms = timer.ElapsedMillis();
 
@@ -80,8 +72,6 @@ void IndexedDocument::BuildDerivedIndexes() {
   stats_.tag_trie_ms = timer.ElapsedMillis();
 
   stats_.document_bytes = document_.MemoryUsage();
-  stats_.containment_bytes = containment_.MemoryUsage();
-  stats_.dewey_bytes = dewey_.MemoryUsage();
   stats_.extended_dewey_bytes = extended_dewey_.MemoryUsage();
   stats_.transducer_bytes = transducer_.MemoryUsage();
   stats_.dataguide_bytes = dataguide_.MemoryUsage();
@@ -93,46 +83,24 @@ void IndexedDocument::BuildDerivedIndexes() {
 Status IndexedDocument::ValidateInvariants(bool deep) const {
   LOTUSX_RETURN_IF_ERROR(document_.ValidateInvariants());
 
-  // Containment labels restate preorder rank / subtree extent / depth.
-  LOTUSX_ENSURE(containment_.size() ==
-                static_cast<size_t>(document_.num_nodes()))
-      << "containment covers " << containment_.size() << " nodes";
-  for (xml::NodeId id = 0; id < document_.num_nodes(); ++id) {
-    const labeling::ContainmentLabel& label = containment_.label(id);
-    const xml::Document::Node& node = document_.node(id);
-    LOTUSX_ENSURE(label.start == id && label.end == node.subtree_end &&
-                  label.level == node.depth)
-        << "containment label of node " << id << " disagrees with document";
-  }
-
-  // Dewey and extended Dewey: one label per node, length == depth, the
-  // parent's label a strict prefix, document order preserved, and (for
-  // extended Dewey) every component decoding to the node's tag through
-  // the transducer — the property TJFast and the position-aware features
-  // rely on.
-  LOTUSX_ENSURE(dewey_.size() == static_cast<size_t>(document_.num_nodes()))
-      << "dewey covers " << dewey_.size() << " nodes";
+  // Extended Dewey: one label per node, length == depth, the parent's
+  // label a strict prefix, document order preserved, and every component
+  // decoding to the node's tag through the transducer — the property
+  // TJFast and the position-aware features rely on.
   LOTUSX_ENSURE(extended_dewey_.size() ==
                 static_cast<size_t>(document_.num_nodes()))
       << "extended dewey covers " << extended_dewey_.size() << " nodes";
   for (xml::NodeId id = 0; id < document_.num_nodes(); ++id) {
     const xml::Document::Node& node = document_.node(id);
-    labeling::DeweyView dewey = dewey_.label(id);
     labeling::DeweyView extended = extended_dewey_.label(id);
-    LOTUSX_ENSURE(dewey.size() == static_cast<size_t>(node.depth))
-        << "dewey label of node " << id << " has length " << dewey.size();
     LOTUSX_ENSURE(extended.size() == static_cast<size_t>(node.depth))
         << "extended dewey label of node " << id << " has length "
         << extended.size();
     if (id == 0) continue;
-    LOTUSX_ENSURE(labeling::IsParentLabel(dewey_.label(node.parent), dewey))
-        << "dewey parent of node " << id << " is not a label prefix";
     LOTUSX_ENSURE(labeling::IsParentLabel(
         extended_dewey_.label(node.parent), extended))
         << "extended dewey parent of node " << id
         << " is not a label prefix";
-    LOTUSX_ENSURE(labeling::CompareLabels(dewey_.label(id - 1), dewey) < 0)
-        << "dewey labels out of document order at node " << id;
     LOTUSX_ENSURE(labeling::CompareLabels(extended_dewey_.label(id - 1),
                                           extended) < 0)
         << "extended dewey labels out of document order at node " << id;

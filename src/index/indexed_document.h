@@ -9,8 +9,6 @@
 #include "index/tag_streams.h"
 #include "index/term_index.h"
 #include "index/trie.h"
-#include "labeling/containment.h"
-#include "labeling/dewey.h"
 #include "labeling/extended_dewey.h"
 #include "xml/dom.h"
 
@@ -19,6 +17,8 @@ namespace lotusx::index {
 /// Wall-clock and memory accounting for every index component (feeds the
 /// E7 index-construction experiment).
 struct IndexBuildStats {
+  // No longer built and always 0; kept only because the serving
+  // benchmark's tracer still reads them.
   double containment_ms = 0;
   double dewey_ms = 0;
   double transducer_ms = 0;
@@ -30,8 +30,6 @@ struct IndexBuildStats {
   double total_ms = 0;
 
   size_t document_bytes = 0;
-  size_t containment_bytes = 0;
-  size_t dewey_bytes = 0;
   size_t extended_dewey_bytes = 0;
   size_t transducer_bytes = 0;
   size_t dataguide_bytes = 0;
@@ -39,16 +37,18 @@ struct IndexBuildStats {
   size_t term_index_bytes = 0;
   size_t tag_trie_bytes = 0;
   size_t total_bytes() const {
-    return document_bytes + containment_bytes + dewey_bytes +
-           extended_dewey_bytes + transducer_bytes + dataguide_bytes +
-           tag_streams_bytes + term_index_bytes + tag_trie_bytes;
+    return document_bytes + extended_dewey_bytes + transducer_bytes +
+           dataguide_bytes + tag_streams_bytes + term_index_bytes +
+           tag_trie_bytes;
   }
 };
 
-/// A finalized document together with every index LotusX needs: both
-/// labeling schemes, the tag transducer, the DataGuide, per-tag node
-/// streams, the keyword index, and the tag-name completion trie. This is
-/// the unit the engine loads, queries, and persists.
+/// A finalized document together with every index LotusX needs: the
+/// extended Dewey labels and their tag transducer, the DataGuide, per-tag
+/// node streams, the keyword index, and the tag-name completion trie.
+/// Region labels (start, end, level) need no store: they are the DOM's
+/// own NodeId, subtree_end and depth. This is the unit the engine loads,
+/// queries, and persists.
 class IndexedDocument {
  public:
   /// Builds all indexes over `document` (which must be finalized).
@@ -60,10 +60,6 @@ class IndexedDocument {
   IndexedDocument& operator=(const IndexedDocument&) = delete;
 
   const xml::Document& document() const { return document_; }
-  const labeling::ContainmentLabels& containment() const {
-    return containment_;
-  }
-  const labeling::DeweyStore& dewey() const { return dewey_; }
   const labeling::ExtendedDeweyStore& extended_dewey() const {
     return extended_dewey_;
   }
@@ -77,8 +73,8 @@ class IndexedDocument {
   const IndexBuildStats& build_stats() const { return stats_; }
 
   /// Audits every index component against the document and the components
-  /// against each other: the DOM arena itself, both labeling schemes
-  /// (prefix/order/decode properties of Dewey and extended Dewey), the
+  /// against each other: the DOM arena itself, the extended Dewey labels
+  /// (prefix/order/decode properties), the
   /// DataGuide, tag streams, term index, and the completion tries. `deep`
   /// additionally re-tokenizes all values to recount the term index (the
   /// cost of a fresh build). Returns Corruption naming the first violated
@@ -103,8 +99,6 @@ class IndexedDocument {
   void BuildDerivedIndexes();
 
   xml::Document document_;
-  labeling::ContainmentLabels containment_;
-  labeling::DeweyStore dewey_;
   labeling::TagTransducer transducer_;
   labeling::ExtendedDeweyStore extended_dewey_;
   DataGuide dataguide_;

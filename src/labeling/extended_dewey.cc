@@ -15,6 +15,20 @@ XTagId NodeXTag(const xml::Document& document, xml::NodeId id,
 
 }  // namespace
 
+bool IsParentLabel(DeweyView a, DeweyView b) {
+  return a.size() + 1 == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin());
+}
+
+int CompareLabels(DeweyView a, DeweyView b) {
+  size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
+}
+
 TagTransducer TagTransducer::Build(const xml::Document& document) {
   CHECK(document.finalized());
   TagTransducer transducer;
@@ -73,9 +87,9 @@ size_t TagTransducer::MemoryUsage() const {
 ExtendedDeweyStore ExtendedDeweyStore::Build(
     const xml::Document& document, const TagTransducer& transducer) {
   CHECK(document.finalized());
-  ExtendedDeweyStore result;
-  DeweyStore& store = result.store_;
+  ExtendedDeweyStore store;
   int32_t n = document.num_nodes();
+  // Each node's label length equals its depth.
   store.offsets_.resize(static_cast<size_t>(n) + 1, 0);
   int64_t total = 0;
   for (xml::NodeId id = 0; id < n; ++id) {
@@ -109,7 +123,7 @@ ExtendedDeweyStore ExtendedDeweyStore::Build(
               store.components_.begin() + offset);
     store.components_[static_cast<size_t>(offset + parent_len)] = c;
   }
-  return result;
+  return store;
 }
 
 std::vector<XTagId> ExtendedDeweyStore::DecodeTagPath(

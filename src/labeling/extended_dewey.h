@@ -2,13 +2,26 @@
 #define LOTUSX_LABELING_EXTENDED_DEWEY_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "labeling/dewey.h"
 #include "xml/dom.h"
 
 namespace lotusx::labeling {
+
+/// A Dewey label is the sequence of per-level components on the path from
+/// the root (exclusive) to a node; the root's label is empty. Views are
+/// spans into a flat per-document store (ExtendedDeweyStore).
+using DeweyView = std::span<const int32_t>;
+
+/// True when `a` is the parent of `b`: `b` is `a` plus one component.
+bool IsParentLabel(DeweyView a, DeweyView b);
+
+/// Document-order comparison: negative / 0 / positive like strcmp. A
+/// proper prefix precedes its extensions (ancestors come first in
+/// document order).
+int CompareLabels(DeweyView a, DeweyView b);
 
 /// Tag identifier in the transducer's universe: document TagIds for
 /// elements/attributes plus one synthetic id for text nodes.
@@ -49,16 +62,26 @@ class TagTransducer {
 /// child with child-tag-index i receives the smallest component c that is
 /// (a) larger than the previous sibling's component (or >= 0 for the
 /// first) and (b) congruent to i modulo k. Ancestor/descendant and
-/// document-order semantics are identical to ordinal Dewey; additionally
-/// DecodeTagPath recovers the tag path.
+/// document-order semantics are identical to ordinal Dewey (a label is a
+/// prefix of its descendants' labels, and labels compare in document
+/// order); additionally DecodeTagPath recovers the tag path. Labels are
+/// stored flat: one offset per node into the concatenated components.
 class ExtendedDeweyStore {
  public:
   static ExtendedDeweyStore Build(const xml::Document& document,
                                   const TagTransducer& transducer);
 
-  DeweyView label(xml::NodeId id) const { return store_.label(id); }
-  size_t size() const { return store_.size(); }
-  size_t MemoryUsage() const { return store_.MemoryUsage(); }
+  DeweyView label(xml::NodeId id) const {
+    size_t i = static_cast<size_t>(id);
+    return DeweyView(components_).subspan(
+        static_cast<size_t>(offsets_[i]),
+        static_cast<size_t>(offsets_[i + 1] - offsets_[i]));
+  }
+  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+  size_t MemoryUsage() const {
+    return offsets_.capacity() * sizeof(int32_t) +
+           components_.capacity() * sizeof(int32_t);
+  }
 
   /// Decodes the tag path (root tag first, the node's own tag last) of the
   /// node carrying `label`. `root_tag` is the document root's tag.
@@ -71,7 +94,8 @@ class ExtendedDeweyStore {
                             DeweyView label, std::vector<XTagId>* path);
 
  private:
-  DeweyStore store_;
+  std::vector<int32_t> offsets_;     // size num_nodes + 1
+  std::vector<int32_t> components_;  // concatenated labels
 };
 
 }  // namespace lotusx::labeling

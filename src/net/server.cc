@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -473,8 +474,6 @@ std::string RenderIndexJson(const index::IndexedDocument& indexed) {
                   "\":{\"build_ms\":%.3f,\"bytes\":%zu}", build_ms, bytes);
     out += buffer;
   };
-  component("containment", stats.containment_ms, stats.containment_bytes);
-  component("dewey", stats.dewey_ms, stats.dewey_bytes);
   component("extended_dewey", stats.extended_dewey_ms,
             stats.extended_dewey_bytes);
   component("transducer", stats.transducer_ms, stats.transducer_bytes);
@@ -555,7 +554,7 @@ HttpResponse Server::HandleAdminRequest(std::string_view path,
     const std::string_view param = QueryParam(query, "seconds");
     if (!param.empty()) {
       seconds = std::atof(std::string(param).c_str());
-      if (seconds <= 0) {
+      if (!std::isfinite(seconds) || seconds <= 0) {
         response.status = 400;
         response.body = "seconds must be a positive number\n";
         return response;

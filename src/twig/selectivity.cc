@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/string_util.h"
 #include "twig/schema_match.h"
@@ -150,61 +149,6 @@ Algorithm ChooseAlgorithm(const TwigQuery& query,
 Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
                           const TwigQuery& query) {
   return ChooseAlgorithm(query, EstimateSelectivity(indexed, query));
-}
-
-StatusOr<std::string> Explain(const index::IndexedDocument& indexed,
-                              const TwigQuery& query) {
-  LOTUSX_RETURN_IF_ERROR(query.Validate());
-  SelectivityEstimate estimate = EstimateSelectivity(indexed, query);
-  const index::DataGuide& guide = indexed.dataguide();
-  const xml::Document& document = indexed.document();
-
-  std::ostringstream out;
-  out << "query: " << query.ToString() << "\n";
-  for (QueryNodeId q = 0; q < query.size(); ++q) {
-    const QueryNode& node = query.node(q);
-    out << "  node " << q << " <" << node.tag << ">";
-    if (q != query.root()) {
-      out << " (" << (node.incoming_axis == Axis::kChild ? "/" : "//")
-          << " under node " << node.parent << ")";
-    }
-    if (node.predicate.active()) {
-      out << (node.predicate.op == ValuePredicate::Op::kEquals ? " ="
-                                                               : " ~")
-          << "\"" << node.predicate.text << "\"";
-    }
-    const std::vector<index::PathId>& paths =
-        estimate.node_schema_paths[static_cast<size_t>(q)];
-    out << ": " << paths.size() << " position(s), est. "
-        << estimate.node_cardinality[static_cast<size_t>(q)]
-        << " bindings\n";
-    for (size_t i = 0; i < paths.size() && i < 4; ++i) {
-      out << "      " << guide.PathString(document, paths[i]) << " (x"
-          << guide.node(paths[i]).count << ")\n";
-    }
-    if (paths.size() > 4) {
-      out << "      ... " << (paths.size() - 4) << " more\n";
-    }
-  }
-  Algorithm algorithm = ChooseAlgorithm(query, estimate);
-  out << "estimated matches: " << estimate.match_cardinality << "\n";
-  out << "streams: total " << estimate.total_stream_size << ", leaves "
-      << estimate.leaf_stream_size << "\n";
-  out << "algorithm: " << AlgorithmName(algorithm);
-  if (algorithm == Algorithm::kPathStack) {
-    out << " (path query)";
-  } else if (algorithm == Algorithm::kTJFast) {
-    int percent = estimate.total_stream_size > 0
-                      ? static_cast<int>(100.0 * estimate.leaf_stream_size /
-                                         estimate.total_stream_size)
-                      : 0;
-    out << " (leaf streams are " << percent
-        << "% of total; decoding from leaf labels pays off)";
-  } else {
-    out << " (leaf streams dominate; containment-label join is cheaper)";
-  }
-  out << "\n";
-  return out.str();
 }
 
 }  // namespace lotusx::twig

@@ -1,10 +1,8 @@
 #ifndef LOTUSX_TWIG_SELECTIVITY_H_
 #define LOTUSX_TWIG_SELECTIVITY_H_
 
-#include <string>
 #include <vector>
 
-#include "common/status_or.h"
 #include "index/indexed_document.h"
 #include "twig/evaluator.h"
 #include "twig/twig_query.h"
@@ -73,12 +71,6 @@ Algorithm ChooseAlgorithm(const TwigQuery& query,
 /// Same, estimating `query` first.
 Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
                           const TwigQuery& query);
-
-/// Human-readable plan report: per-node positions and estimates, the
-/// chosen algorithm with its reason, and the match estimate. Does not
-/// execute the query.
-StatusOr<std::string> Explain(const index::IndexedDocument& indexed,
-                              const TwigQuery& query);
 
 }  // namespace lotusx::twig
 

@@ -97,6 +97,8 @@ void Document::Finalize() {
         last == kInvalidNodeId ? i
                                : nodes_[static_cast<size_t>(last)].subtree_end;
   }
+  // Appends are over; the sealed document keeps no build-only state.
+  std::vector<NodeId>().swap(last_child_);
   finalized_ = true;
 }
 
@@ -210,7 +212,7 @@ std::vector<NodeId> Document::Children(NodeId id) const {
 
 size_t Document::MemoryUsage() const {
   size_t bytes = nodes_.capacity() * sizeof(Node) +
-                 last_child_.capacity() * sizeof(NodeId);
+                 last_child_.capacity() * sizeof(NodeId);  // 0 once sealed
   for (const std::string& s : tag_names_) bytes += s.capacity();
   for (const std::string& s : texts_) bytes += s.capacity() + sizeof(s);
   bytes += tag_ids_.size() * (sizeof(std::string) + sizeof(TagId) + 32);

@@ -67,8 +67,9 @@ class Document {
   /// Appends a text node under `parent`.
   NodeId AppendText(NodeId parent, std::string_view text);
 
-  /// Seals the document: computes subtree extents. Must be called exactly
-  /// once, after which no Append* calls are allowed.
+  /// Seals the document: computes subtree extents and frees the
+  /// append-only bookkeeping. Must be called exactly once, after which no
+  /// Append* calls are allowed.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -139,7 +140,8 @@ class Document {
   NodeId AppendNode(NodeId parent, Node node);
 
   std::vector<Node> nodes_;
-  std::vector<NodeId> last_child_;  // per node, for O(1) append
+  std::vector<NodeId> last_child_;  // per node, for O(1) append; freed
+                                    // by Finalize
   std::vector<std::string> tag_names_;
   std::unordered_map<std::string, TagId> tag_ids_;
   std::vector<std::string> texts_;

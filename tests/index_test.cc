@@ -445,7 +445,7 @@ TEST(IndexedDocumentTest, BuildsAllComponents) {
   index::IndexedDocument indexed = MustIndex(kSample);
   EXPECT_GT(indexed.dataguide().num_paths(), 0);
   EXPECT_GT(indexed.tag_trie().num_keys(), 0u);
-  EXPECT_EQ(indexed.containment().size(),
+  EXPECT_EQ(indexed.extended_dewey().size(),
             static_cast<size_t>(indexed.document().num_nodes()));
   EXPECT_GT(indexed.build_stats().total_ms, 0.0);
   EXPECT_GT(indexed.build_stats().total_bytes(), 0u);

@@ -14,6 +14,7 @@
 #include "session/svg_export.h"
 #include "twig/query_export.h"
 #include "twig/query_from_example.h"
+#include "twig/plan/physical_plan.h"
 #include "twig/query_parser.h"
 #include "twig/selectivity.h"
 #include "xml/dom_builder.h"
@@ -188,8 +189,8 @@ TEST(IntegrationTest, ExplainAgreesWithExecution) {
         twig::EstimateSelectivity(indexed, query);
     auto result = twig::Evaluate(indexed, query);
     ASSERT_TRUE(result.ok());
-    // The algorithm named by Explain is the one kAuto actually ran.
-    auto report = twig::Explain(indexed, query);
+    // The algorithm named by EXPLAIN is the one kAuto actually ran.
+    auto report = twig::plan::ExplainQuery(indexed, query);
     ASSERT_TRUE(report.ok());
     EXPECT_NE(report->find("algorithm: " + result->stats.algorithm),
               std::string::npos)

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "labeling/containment.h"
-#include "labeling/dewey.h"
+#include <algorithm>
+
 #include "labeling/extended_dewey.h"
 #include "tests/test_util.h"
 
@@ -15,78 +15,53 @@ using xml::NodeId;
 constexpr std::string_view kSample =
     "<a><b><c>x</c><c>y</c></b><b><d/></b><e/></a>";
 
-// ----------------------------------------------------------- Containment
-
-TEST(ContainmentTest, LabelsAgreeWithDom) {
-  Document doc = MustParse(kSample);
-  ContainmentLabels labels = ContainmentLabels::Build(doc);
-  ASSERT_EQ(labels.size(), static_cast<size_t>(doc.num_nodes()));
-  for (NodeId a = 0; a < doc.num_nodes(); ++a) {
-    for (NodeId b = 0; b < doc.num_nodes(); ++b) {
-      EXPECT_EQ(IsAncestor(labels.label(a), labels.label(b)),
-                doc.IsAncestor(a, b))
-          << "a=" << a << " b=" << b;
-      EXPECT_EQ(IsParent(labels.label(a), labels.label(b)),
-                doc.node(b).parent == a)
-          << "a=" << a << " b=" << b;
-    }
-  }
+/// Extended Dewey labels of `doc`; the transducer is needed only to build.
+ExtendedDeweyStore BuildLabels(const Document& doc) {
+  return ExtendedDeweyStore::Build(doc, TagTransducer::Build(doc));
 }
 
-TEST(ContainmentTest, PrecedesIsDocumentOrder) {
-  Document doc = MustParse(kSample);
-  ContainmentLabels labels = ContainmentLabels::Build(doc);
-  for (NodeId a = 0; a + 1 < doc.num_nodes(); ++a) {
-    EXPECT_TRUE(Precedes(labels.label(a), labels.label(a + 1)));
-  }
+/// True when `a` is a proper prefix of `b`.
+bool IsProperPrefix(DeweyView a, DeweyView b) {
+  return a.size() < b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
 // ----------------------------------------------------------------- Dewey
+// The Dewey relations on extended Dewey labels, with the DOM as oracle.
 
 TEST(DeweyTest, RootLabelIsEmpty) {
   Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
+  ExtendedDeweyStore store = BuildLabels(doc);
+  ASSERT_EQ(store.size(), static_cast<size_t>(doc.num_nodes()));
   EXPECT_TRUE(store.label(doc.root()).empty());
-  EXPECT_EQ(LabelToString(store.label(doc.root())), "<root>");
 }
 
 TEST(DeweyTest, LabelLengthEqualsDepth) {
   Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
+  ExtendedDeweyStore store = BuildLabels(doc);
   for (NodeId id = 0; id < doc.num_nodes(); ++id) {
     EXPECT_EQ(store.label(id).size(),
               static_cast<size_t>(doc.node(id).depth));
   }
 }
 
-TEST(DeweyTest, SiblingOrdinalsIncrease) {
-  Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
-  std::vector<NodeId> children = doc.Children(doc.root());
-  ASSERT_EQ(children.size(), 3u);
-  for (size_t i = 0; i < children.size(); ++i) {
-    DeweyView label = store.label(children[i]);
-    ASSERT_EQ(label.size(), 1u);
-    EXPECT_EQ(label[0], static_cast<int32_t>(i));
-  }
-}
-
 TEST(DeweyTest, RelationshipsAgreeWithDom) {
   Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
+  ExtendedDeweyStore store = BuildLabels(doc);
   for (NodeId a = 0; a < doc.num_nodes(); ++a) {
     for (NodeId b = 0; b < doc.num_nodes(); ++b) {
-      EXPECT_EQ(IsAncestorLabel(store.label(a), store.label(b)),
-                doc.IsAncestor(a, b));
+      EXPECT_EQ(IsProperPrefix(store.label(a), store.label(b)),
+                doc.IsAncestor(a, b))
+          << "a=" << a << " b=" << b;
       EXPECT_EQ(IsParentLabel(store.label(a), store.label(b)),
-                doc.node(b).parent == a);
+                doc.node(b).parent == a)
+          << "a=" << a << " b=" << b;
     }
   }
 }
 
 TEST(DeweyTest, CompareMatchesDocumentOrder) {
   Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
+  ExtendedDeweyStore store = BuildLabels(doc);
   for (NodeId a = 0; a < doc.num_nodes(); ++a) {
     for (NodeId b = 0; b < doc.num_nodes(); ++b) {
       int cmp = CompareLabels(store.label(a), store.label(b));
@@ -97,37 +72,6 @@ TEST(DeweyTest, CompareMatchesDocumentOrder) {
       } else {
         EXPECT_GT(cmp, 0);
       }
-    }
-  }
-}
-
-TEST(DeweyTest, CommonPrefixIsLcaDepth) {
-  Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
-  // c(x) and c(y) share parent b at depth 1 -> common prefix length 1.
-  xml::TagId c_tag = doc.FindTag("c");
-  ASSERT_NE(c_tag, xml::kInvalidTagId);
-  std::vector<NodeId> cs;
-  for (NodeId id = 0; id < doc.num_nodes(); ++id) {
-    if (doc.node(id).kind == xml::NodeKind::kElement &&
-        doc.node(id).tag == c_tag) {
-      cs.push_back(id);
-    }
-  }
-  ASSERT_EQ(cs.size(), 2u);
-  EXPECT_EQ(CommonPrefixLength(store.label(cs[0]), store.label(cs[1])), 1u);
-}
-
-TEST(DeweyTest, LabelToString) {
-  Document doc = MustParse(kSample);
-  DeweyStore store = DeweyStore::Build(doc);
-  // First c element: path a(root) -> b(0) -> c(0) => "0.0".
-  xml::TagId c_tag = doc.FindTag("c");
-  for (NodeId id = 0; id < doc.num_nodes(); ++id) {
-    if (doc.node(id).kind == xml::NodeKind::kElement &&
-        doc.node(id).tag == c_tag) {
-      EXPECT_EQ(LabelToString(store.label(id)), "0.0");
-      break;
     }
   }
 }
@@ -158,17 +102,24 @@ TEST(TransducerTest, TextChildrenUseSyntheticTag) {
 
 // --------------------------------------------------------- ExtendedDewey
 
+// Ordinal Dewey's semantics: a label is a proper prefix exactly of its
+// descendants' labels, extends its parent's by one component, and labels
+// sort in document (NodeId) order. Checked against the DOM on a document
+// with attributes and recursive tags.
 TEST(ExtendedDeweyTest, StructuralSemanticsMatchOrdinalDewey) {
-  Document doc = MustParse(kSample);
-  TagTransducer transducer = TagTransducer::Build(doc);
-  ExtendedDeweyStore store = ExtendedDeweyStore::Build(doc, transducer);
+  Document doc = MustParse(
+      "<r a=\"1\"><s><r><s>x</s></r><t/></s><s b=\"2\">y<t/>z</s></r>");
+  ExtendedDeweyStore store = BuildLabels(doc);
   for (NodeId a = 0; a < doc.num_nodes(); ++a) {
     for (NodeId b = 0; b < doc.num_nodes(); ++b) {
-      EXPECT_EQ(IsAncestorLabel(store.label(a), store.label(b)),
-                doc.IsAncestor(a, b));
-    }
-    if (a + 1 < doc.num_nodes()) {
-      EXPECT_LT(CompareLabels(store.label(a), store.label(a + 1)), 0);
+      EXPECT_EQ(IsProperPrefix(store.label(a), store.label(b)),
+                doc.IsAncestor(a, b))
+          << "a=" << a << " b=" << b;
+      EXPECT_EQ(IsParentLabel(store.label(a), store.label(b)),
+                doc.node(b).parent == a)
+          << "a=" << a << " b=" << b;
+      EXPECT_EQ(CompareLabels(store.label(a), store.label(b)) < 0, a < b)
+          << "a=" << a << " b=" << b;
     }
   }
 }

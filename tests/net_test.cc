@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -828,6 +829,28 @@ TEST_F(AdminPlaneTest, IndexzRendersIndexAccounting) {
   EXPECT_NE(response.find("\"posting_blocks\":{"), std::string::npos)
       << response;
   EXPECT_NE(response.find("\"total_bytes\":"), std::string::npos) << response;
+  // Only stores the serving path reads are built and reported.
+  EXPECT_EQ(response.find("\"containment\":"), std::string::npos) << response;
+  EXPECT_EQ(response.find("\"dewey\":"), std::string::npos) << response;
+
+  // total_bytes is exactly the document's bytes plus every rendered
+  // component's: a component missing from the JSON or from the total
+  // breaks the sum. Each "bytes" key is the document's or a component's
+  // ("memory_bytes" and "total_bytes" carry another prefix).
+  const auto number_after = [&](size_t key_end) {
+    return std::strtoull(response.c_str() + key_end, nullptr, 10);
+  };
+  const std::string bytes_key = "\"bytes\":";
+  uint64_t rendered_sum = 0;
+  for (size_t at = response.find(bytes_key); at != std::string::npos;
+       at = response.find(bytes_key, at + 1)) {
+    rendered_sum += number_after(at + bytes_key.size());
+  }
+  const std::string total_key = "\"total_bytes\":";
+  const size_t total_at = response.find(total_key);
+  ASSERT_NE(total_at, std::string::npos) << response;
+  EXPECT_EQ(number_after(total_at + total_key.size()), rendered_sum)
+      << response;
 }
 
 TEST_F(AdminPlaneTest, ProfilezCollectsOverTheQueryString) {
@@ -841,9 +864,12 @@ TEST_F(AdminPlaneTest, ProfilezCollectsOverTheQueryString) {
   EXPECT_NE(response.find("event-loop;"), std::string::npos)
       << "the loop thread's own stack must appear: " << response;
 
-  const std::string bad =
-      AdminGet(server->admin_port(), "/profilez?seconds=bogus");
-  EXPECT_NE(bad.find(" 400 Bad Request"), std::string::npos) << bad;
+  for (const char* seconds : {"bogus", "nan", "inf", "-inf"}) {
+    const std::string bad = AdminGet(
+        server->admin_port(), std::string("/profilez?seconds=") + seconds);
+    EXPECT_NE(bad.find(" 400 Bad Request"), std::string::npos)
+        << seconds << ": " << bad;
+  }
 }
 
 TEST_F(AdminPlaneTest, SlowlogVerbRoundTripsOverTheWire) {

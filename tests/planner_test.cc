@@ -406,6 +406,12 @@ TEST(ExplainPlanTest, DescribeWithoutActualsOmitsThem) {
   EXPECT_EQ(text.find("actual rows="), std::string::npos) << text;
 }
 
+TEST(ExplainTest, RejectsInvalidQuery) {
+  auto indexed = MustIndex(kBibXml);
+  TwigQuery empty;
+  EXPECT_FALSE(plan::ExplainQuery(indexed, empty).ok());
+}
+
 // ------------------------------------------------- schema-empty plans
 
 const Algorithm kAllAlgorithms[] = {Algorithm::kAuto, Algorithm::kStructuralJoin,

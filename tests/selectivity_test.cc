@@ -131,22 +131,5 @@ TEST(ChooseAlgorithmTest, LeafHeavyTwigsPickTwigStack) {
             Algorithm::kTwigStack);
 }
 
-// ----------------------------------------------------------------- Explain
-
-TEST(ExplainTest, ReportsPositionsEstimateAndAlgorithm) {
-  auto indexed = MustIndex(kXml);
-  auto report = Explain(indexed, Q("//article[author]/title"));
-  ASSERT_TRUE(report.ok());
-  EXPECT_NE(report->find("/dblp/article"), std::string::npos) << *report;
-  EXPECT_NE(report->find("estimated matches"), std::string::npos);
-  EXPECT_NE(report->find("algorithm:"), std::string::npos);
-}
-
-TEST(ExplainTest, RejectsInvalidQuery) {
-  auto indexed = MustIndex(kXml);
-  TwigQuery empty;
-  EXPECT_FALSE(Explain(indexed, empty).ok());
-}
-
 }  // namespace
 }  // namespace lotusx::twig
