@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <mutex>  // NOLINT(lotusx-sync): std::once_flag only, no locking
 #include <unordered_map>
 
@@ -107,12 +108,6 @@ metrics::Histogram* StageHistogram(Stage stage) {
     }
   });
   return histograms[static_cast<int>(stage)];
-}
-
-std::string FormatMillis(double ms) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", ms);
-  return buffer;
 }
 
 }  // namespace
@@ -235,102 +230,58 @@ QueryTrace::~QueryTrace() {
   if (observe_latency_) {
     ComponentLatencyHistogram(component_)->Observe(total_ms * 1000.0);
   }
-
-  const double threshold_ms = SlowQueryThresholdMillis();
-  const bool slow = threshold_ms >= 0 && total_ms >= threshold_ms;
-  const bool verbose = MinLogSeverity() <= LogSeverity::kInfo;
   if (root_ != this) {
-    // A nested trace is one span of its request: account it on the
-    // root (when the request keeps spans at all) and fall through to
-    // the per-component log line when there is something to say.
+    // A nested trace is one span of its request; the root records the
+    // request.
     if (sampled_) {
       root_->AppendSpan(TraceSpan{component_, start_us_in_root_,
                                   total_ms * 1000.0, depth_, thread_});
     }
-    if (!slow && !verbose) return;
-  } else if (!slow && !sampled_ && !verbose) {
-    // Fast path for the unremarkable 99%: nothing retained, nothing
-    // logged — skip the lock and the string copies entirely.
     return;
   }
 
-  std::string query;
-  std::string detail;
-  double stage_ms[kNumStages];
-  std::vector<TraceSpan> spans;
-  size_t dropped_spans = 0;
+  const double threshold_ms = SlowQueryThresholdMillis();
+  const bool slow = threshold_ms >= 0 && total_ms >= threshold_ms;
+  const bool verbose = MinLogSeverity() <= LogSeverity::kInfo;
+  // Fast path for the unremarkable 99%: nothing retained, nothing
+  // logged — skip the lock and the string copies entirely.
+  if (!slow && !sampled_ && !verbose) return;
+
+  // The request's one record: retained by the rings below and rendered
+  // into the log line.
+  auto record = std::make_shared<RequestRecord>();
+  record->trace_id = trace_id_;
+  record->fingerprint = fingerprint_.load(std::memory_order_relaxed);
+  // The wall clock is read only here, for remarkable requests.
+  record->wall_start_us =
+      UnixMicrosNow() - static_cast<int64_t>(total_ms * 1000.0);
+  record->component = component_;
+  record->total_ms = total_ms;
+  for (int i = 0; i < kNumStages; ++i) {
+    record->stage_ms[i] = stage_ms_[i].load(std::memory_order_relaxed);
+  }
+  record->slow = slow;
+  record->thread = thread_;
   {
     MutexLock lock(mu_);
-    query = query_.empty() ? std::string(query_view_) : query_;
-    detail = detail_;
-    spans = std::move(spans_);
-    dropped_spans = dropped_spans_;
+    record->query = query_.empty() ? std::string(query_view_) : query_;
+    record->detail = std::move(detail_);
+    record->spans = std::move(spans_);
+    record->dropped_spans = dropped_spans_;
   }
-  for (int i = 0; i < kNumStages; ++i) {
-    stage_ms[i] = stage_ms_[i].load(std::memory_order_relaxed);
-  }
-
-  if (root_ == this) {
-    wall_start_us_ =
-        UnixMicrosNow() - static_cast<int64_t>(total_ms * 1000.0);
-    if (slow) {
-      SlowQueryEntry entry;
-      entry.trace_id = trace_id_;
-      entry.fingerprint = fingerprint_.load(std::memory_order_relaxed);
-      entry.wall_start_us = wall_start_us_;
-      entry.component = component_;
-      entry.query = query;
-      entry.detail = detail;
-      entry.total_ms = total_ms;
-      for (int i = 0; i < kNumStages; ++i) entry.stage_ms[i] = stage_ms[i];
-      SlowLog::Default().Add(std::move(entry));
-    }
-    if (slow || sampled_) {
-      CompletedTrace completed;
-      completed.trace_id = trace_id_;
-      completed.wall_start_us = wall_start_us_;
-      completed.component = component_;
-      completed.query = query;
-      completed.detail = detail;
-      completed.total_ms = total_ms;
-      completed.slow = slow;
-      completed.thread = thread_;
-      completed.spans = std::move(spans);
-      completed.dropped_spans = dropped_spans;
-      TraceStore::Default().Add(std::move(completed));
-    }
-  }
-
-  if (!slow && !verbose) return;
   if (slow) {
     static metrics::Counter* slow_queries =
         metrics::Registry::Default().GetCounter("lotusx_slow_queries_total");
     slow_queries->Increment();
+    SlowRing().Add(record);  // stamps the SLOWLOG id the line shows
   }
-  // One structured line: key=value pairs, stages only when they ran.
-  // Stage times overlap (rewrite re-enters plan/execute), so they need
-  // not sum to total_ms. Fast queries get the same line at Info, so
-  // verbose mode traces every query.
-  std::string line = std::string(slow ? "slow-query" : "query") +
-                     " source=" + component_ +
-                     " trace=" + FormatTraceId(trace_id_) +
-                     " total_ms=" + FormatMillis(total_ms);
-  if (!detail.empty()) line += " algorithm=" + detail;
-  line += " query=\"" + query + "\" stages=";
-  bool first = true;
-  for (int i = 0; i < kNumStages; ++i) {
-    if (stage_ms[i] <= 0) continue;
-    if (!first) line += ',';
-    first = false;
-    line += StageName(static_cast<Stage>(i));
-    line += ':';
-    line += FormatMillis(stage_ms[i]);
-  }
-  if (first) line += "(none)";
+  if (slow || sampled_) TraceRing().Add(record);
+  // Fast queries get the same line at Info, so verbose mode traces
+  // every request.
   if (slow) {
-    LOTUSX_LOG(Warning) << line;
-  } else {
-    LOTUSX_LOG(Info) << line;
+    LOTUSX_LOG(Warning) << "slow-query " << RenderRecordText(*record);
+  } else if (verbose) {
+    LOTUSX_LOG(Info) << "query " << RenderRecordText(*record);
   }
 }
 
@@ -345,8 +296,9 @@ void QueryTrace::set_query_view(std::string_view query) {
 }
 
 void QueryTrace::set_detail(std::string detail) {
-  MutexLock lock(mu_);
-  detail_ = std::move(detail);
+  QueryTrace* root = root_;
+  MutexLock lock(root->mu_);
+  root->detail_ = std::move(detail);
 }
 
 void QueryTrace::AddStageLocal(Stage stage, double ms) {

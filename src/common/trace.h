@@ -14,7 +14,8 @@ namespace lotusx::trace {
 
 /// Request-scoped tracing: RAII spans that record per-stage wall time
 /// into the metrics registry (`lotusx_stage_latency_usec{stage="..."}`)
-/// and build a span tree on the request's root QueryTrace for the
+/// and build a span tree on the request's root QueryTrace. The root
+/// turns into one RequestRecord (trace_store.h) that feeds the
 /// slow-query log (`SLOWLOG`), the trace ring (`TRACE LAST/EXPORT`,
 /// Chrome trace-event JSON), and the structured log line.
 ///
@@ -23,7 +24,8 @@ namespace lotusx::trace {
 ///   { trace::StageSpan span(trace::Stage::kParse); ... }
 ///   { trace::StageSpan span(trace::Stage::kRank); ... }
 ///   // ~QueryTrace records lotusx_search_latency_usec{source="engine"}
-///   // and emits one structured slow-query log line above the threshold.
+///   // and, as the root, emits one structured slow-query log line
+///   // above the threshold.
 ///
 /// StageSpan finds the active QueryTrace through a thread-local, so
 /// deeply nested layers (the planner and executor inside Evaluate) feed
@@ -34,7 +36,7 @@ namespace lotusx::trace {
 /// Nesting builds a tree: the outermost QueryTrace of a request is the
 /// *root*; nested traces and stage spans append timestamped spans to it
 /// and forward their stage times into the root's breakdown, so the
-/// root's slow-query entry sees work done by inner layers. ThreadPool
+/// root's record sees work done by inner layers. ThreadPool
 /// tasks do not inherit the thread-local — a task that should account
 /// into its parent request wraps itself in `QueryTrace::Adoption`.
 
@@ -44,7 +46,7 @@ inline constexpr int kNumStages = 6;
 
 std::string_view StageName(Stage stage);
 
-/// Queries slower than this emit one structured warning log line
+/// Requests slower than this emit one structured warning log line
 /// ("slow-query ...", see docs/DEVELOPMENT.md), land in the SLOWLOG
 /// ring, and are retained in the trace ring regardless of sampling.
 /// Negative disables; 0 logs every traced query. Initialized from the
@@ -89,15 +91,16 @@ struct TraceSpan {
 /// Wall-time trace of one query through the pipeline. Construction
 /// installs it as the current trace of this thread (saving any previous
 /// one, so nesting is safe); destruction records the total latency into
-/// `lotusx_search_latency_usec{source="<component>"}` and emits the
-/// slow-query log line when the threshold is exceeded.
+/// `lotusx_search_latency_usec{source="<component>"}`.
 ///
 /// The outermost trace of a request (the *root*) additionally owns the
 /// request's identity and span tree: it carries the trace ID, the
-/// wall-clock start, the merged stage breakdown, and the recorded
-/// spans. On destruction the root publishes itself to the SLOWLOG ring
-/// (when slow) and the trace ring (when sampled or slow) — see
-/// trace_store.h.
+/// merged stage breakdown, the last search's fingerprint and detail,
+/// and the recorded spans. On destruction the root builds the request's
+/// one RequestRecord and hands it to the SLOWLOG ring (when slow), the
+/// trace ring (when sampled or slow) and the log line (when slow, or
+/// at Info severity) — see trace_store.h. A nested trace only adds its
+/// span.
 class QueryTrace {
  public:
   /// `component` labels the latency series ("engine", "session",
@@ -115,9 +118,9 @@ class QueryTrace {
   QueryTrace(const QueryTrace&) = delete;
   QueryTrace& operator=(const QueryTrace&) = delete;
 
-  /// The query text for the slow-query log (set it lazily — it is only
-  /// read when the query turns out slow, but must be set before the
-  /// trace is destroyed).
+  /// The query text of the request record. Only a root's is read, and
+  /// only when the request is retained or logged; it must be set before
+  /// the trace is destroyed.
   void set_query(std::string query) LOTUSX_EXCLUDES(mu_);
   /// Non-owning variant for hot callers whose string provably outlives
   /// the trace (the connection layer's per-command root): skips the
@@ -125,11 +128,12 @@ class QueryTrace {
   /// read once, at destruction, and only when the trace is retained or
   /// logged. An owning set_query() takes precedence if both are set.
   void set_query_view(std::string_view query) LOTUSX_EXCLUDES(mu_);
-  /// Chosen algorithm / plan reason / "cache-hit" for the log line.
+  /// Chosen algorithm / "cache-hit" of the request's search. Stored on
+  /// the root, like the fingerprint; in a batch the last search wins.
   void set_detail(std::string detail) LOTUSX_EXCLUDES(mu_);
 
   /// Accumulates into this trace's breakdown and, when nested, into the
-  /// request root's as well (so the root's SLOWLOG entry accounts work
+  /// request root's as well (so the root's record accounts work
   /// done by inner layers and adopted pool tasks). Lock-free: stage
   /// accumulators are relaxed atomics, cheap enough for every request.
   void AddStageMillis(Stage stage, double ms);
@@ -197,7 +201,6 @@ class QueryTrace {
   const bool observe_latency_;
   int depth_ = 0;               // span-tree depth (root == 0)
   uint32_t thread_ = 0;         // per-thread ordinal at construction
-  int64_t wall_start_us_ = 0;   // unix µs of root start, set at retention
   double start_us_in_root_ = 0;
   Timer timer_;
 
@@ -209,8 +212,9 @@ class QueryTrace {
   std::atomic<uint64_t> fingerprint_{0};
 
   /// Strings and the span tree are touched rarely (query/detail once
-  /// per request, spans only when sampled), so they stay locked. The
-  /// lock is uncontended outside sampled batch fan-out.
+  /// per search, spans only when sampled), so they stay locked. The
+  /// lock is uncontended outside batch fan-out. detail_, spans_ and
+  /// dropped_spans_ are meaningful on the root only.
   mutable Mutex mu_;
   std::string query_ LOTUSX_GUARDED_BY(mu_);
   std::string_view query_view_ LOTUSX_GUARDED_BY(mu_);

@@ -59,132 +59,104 @@ void AppendJsonEscaped(std::string* out, std::string_view text) {
   }
 }
 
-void AppendStagesText(std::string* out, const double (&stage_ms)[kNumStages]) {
-  bool first = true;
-  for (int i = 0; i < kNumStages; ++i) {
-    if (stage_ms[i] <= 0) continue;
-    if (!first) *out += ',';
-    first = false;
-    *out += StageName(static_cast<Stage>(i));
-    *out += ':';
-    *out += FormatFixed(stage_ms[i]);
-  }
-  if (first) *out += "(none)";
-}
-
 }  // namespace
 
-SlowLog::SlowLog(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
+RequestRing::RequestRing(size_t capacity, bool numbered)
+    : capacity_(capacity > 0 ? capacity : 1), numbered_(numbered) {}
 
-SlowLog& SlowLog::Default() {
-  // Leaked so shutdown-order races with late traces cannot touch a
-  // destroyed ring (same lifetime policy as metrics::Registry).
-  static SlowLog* ring = new SlowLog();
-  return *ring;
-}
-
-void SlowLog::Add(SlowQueryEntry entry) {
+void RequestRing::Add(std::shared_ptr<RequestRecord> record) {
   MutexLock lock(mu_);
-  entry.id = next_id_++;
-  ring_.push_back(std::move(entry));
+  ++added_;
+  if (numbered_) record->id = added_;
+  ring_.push_back(std::move(record));
   while (ring_.size() > capacity_) ring_.pop_front();
 }
 
-std::vector<SlowQueryEntry> SlowLog::Last(size_t n) const {
+RequestRecords RequestRing::Last(size_t n) const {
   MutexLock lock(mu_);
   const size_t count = std::min(n, ring_.size());
-  std::vector<SlowQueryEntry> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(ring_[ring_.size() - 1 - i]);
-  }
-  return out;
+  return RequestRecords(ring_.rbegin(), ring_.rbegin() + count);
 }
 
-size_t SlowLog::Len() const {
+std::shared_ptr<const RequestRecord> RequestRing::Find(
+    uint64_t trace_id) const {
+  MutexLock lock(mu_);
+  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
+    if ((*it)->trace_id == trace_id) return *it;
+  }
+  return nullptr;
+}
+
+size_t RequestRing::Len() const {
   MutexLock lock(mu_);
   return ring_.size();
 }
 
-uint64_t SlowLog::TotalAdded() const {
+uint64_t RequestRing::TotalAdded() const {
   MutexLock lock(mu_);
-  return next_id_ - 1;
+  return added_;
 }
 
-void SlowLog::Reset() {
+void RequestRing::Reset() {
   MutexLock lock(mu_);
   ring_.clear();
 }
 
-TraceStore::TraceStore(size_t capacity)
-    : capacity_(capacity > 0 ? capacity : 1) {}
-
-TraceStore& TraceStore::Default() {
-  // Leaked for the same reason as SlowLog::Default().
-  static TraceStore* ring = new TraceStore();
+// Both leaked so shutdown-order races with late traces cannot touch a
+// destroyed ring (same lifetime policy as metrics::Registry).
+RequestRing& SlowRing() {
+  static RequestRing* ring = new RequestRing(128, /*numbered=*/true);
   return *ring;
 }
 
-void TraceStore::Add(CompletedTrace trace) {
-  MutexLock lock(mu_);
-  ring_.push_back(std::move(trace));
-  while (ring_.size() > capacity_) ring_.pop_front();
+RequestRing& TraceRing() {
+  static RequestRing* ring = new RequestRing(256, /*numbered=*/false);
+  return *ring;
 }
 
-std::vector<CompletedTrace> TraceStore::Last(size_t n) const {
-  MutexLock lock(mu_);
-  const size_t count = std::min(n, ring_.size());
-  std::vector<CompletedTrace> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(ring_[ring_.size() - 1 - i]);
-  }
-  return out;
-}
-
-std::optional<CompletedTrace> TraceStore::Find(uint64_t trace_id) const {
-  MutexLock lock(mu_);
-  for (size_t i = ring_.size(); i > 0; --i) {
-    if (ring_[i - 1].trace_id == trace_id) return ring_[i - 1];
-  }
-  return std::nullopt;
-}
-
-size_t TraceStore::Len() const {
-  MutexLock lock(mu_);
-  return ring_.size();
-}
-
-void TraceStore::Reset() {
-  MutexLock lock(mu_);
-  ring_.clear();
-}
-
-std::string RenderSlowLogText(const std::vector<SlowQueryEntry>& entries) {
-  if (entries.empty()) return "(empty)";
+std::string RenderRecordText(const RequestRecord& record) {
   std::string out;
-  for (const SlowQueryEntry& entry : entries) {
+  if (record.id != 0) out += "id=" + std::to_string(record.id) + ' ';
+  out += "source=" + record.component;
+  out += " trace=" + FormatTraceId(record.trace_id);
+  if (record.fingerprint != 0) {
+    out += " fingerprint=" + FormatTraceId(record.fingerprint);
+  }
+  out += " time=" + FormatWallTime(record.wall_start_us);
+  out += " total_ms=" + FormatFixed(record.total_ms);
+  if (!record.detail.empty()) out += " algorithm=" + record.detail;
+  out += " query=\"" + record.query + "\"";
+  // Stage times overlap (rewrite re-enters plan/execute), so they need
+  // not sum to total_ms.
+  out += " stages=";
+  bool first = true;
+  for (int i = 0; i < kNumStages; ++i) {
+    if (record.stage_ms[i] <= 0) continue;
+    if (!first) out += ',';
+    first = false;
+    out += StageName(static_cast<Stage>(i));
+    out += ':';
+    out += FormatFixed(record.stage_ms[i]);
+  }
+  if (first) out += "(none)";
+  return out;
+}
+
+std::string RenderSlowLogText(const RequestRecords& records) {
+  if (records.empty()) return "(empty)";
+  std::string out;
+  for (const std::shared_ptr<const RequestRecord>& record : records) {
     if (!out.empty()) out += '\n';
-    out += "id=" + std::to_string(entry.id);
-    out += " trace=" + FormatTraceId(entry.trace_id);
-    if (entry.fingerprint != 0) {
-      out += " fingerprint=" + FormatTraceId(entry.fingerprint);
-    }
-    out += " time=" + FormatWallTime(entry.wall_start_us);
-    out += " total_ms=" + FormatFixed(entry.total_ms);
-    out += " source=" + entry.component;
-    if (!entry.detail.empty()) out += " algorithm=" + entry.detail;
-    out += " query=\"" + entry.query + "\"";
-    out += " stages=";
-    AppendStagesText(&out, entry.stage_ms);
+    out += RenderRecordText(*record);
   }
   return out;
 }
 
-std::string RenderSlowLogJson(const std::vector<SlowQueryEntry>& entries) {
+std::string RenderSlowLogJson(const RequestRecords& records) {
   std::string out = "{\"entries\":[";
   bool first_entry = true;
-  for (const SlowQueryEntry& entry : entries) {
+  for (const std::shared_ptr<const RequestRecord>& record : records) {
+    const RequestRecord& entry = *record;
     if (!first_entry) out += ',';
     first_entry = false;
     out += "{\"id\":" + std::to_string(entry.id);
@@ -215,18 +187,14 @@ std::string RenderSlowLogJson(const std::vector<SlowQueryEntry>& entries) {
   return out;
 }
 
-std::string RenderTraceText(const std::vector<CompletedTrace>& traces) {
-  if (traces.empty()) return "(empty)";
+std::string RenderTraceText(const RequestRecords& records) {
+  if (records.empty()) return "(empty)";
   std::string out;
-  for (const CompletedTrace& trace : traces) {
+  for (const std::shared_ptr<const RequestRecord>& record : records) {
+    const RequestRecord& trace = *record;
     if (!out.empty()) out += '\n';
-    out += "trace " + FormatTraceId(trace.trace_id);
-    out += " time=" + FormatWallTime(trace.wall_start_us);
-    out += " source=" + trace.component;
-    out += " total_ms=" + FormatFixed(trace.total_ms);
+    out += RenderRecordText(trace);
     out += trace.slow ? " slow=yes" : " slow=no";
-    if (!trace.detail.empty()) out += " algorithm=" + trace.detail;
-    out += " query=\"" + trace.query + "\"";
     out += " spans=" + std::to_string(trace.spans.size());
     if (trace.dropped_spans > 0) {
       out += " dropped=" + std::to_string(trace.dropped_spans);
@@ -248,7 +216,7 @@ std::string RenderTraceText(const std::vector<CompletedTrace>& traces) {
   return out;
 }
 
-std::string ChromeTraceJson(const std::vector<CompletedTrace>& traces) {
+std::string ChromeTraceJson(const RequestRecords& records) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto append_event = [&](std::string_view name, double ts_us, double dur_us,
@@ -262,7 +230,8 @@ std::string ChromeTraceJson(const std::vector<CompletedTrace>& traces) {
     out += ",\"pid\":1,\"tid\":" + std::to_string(tid);
     out += ",\"args\":{" + args + "}}";
   };
-  for (const CompletedTrace& trace : traces) {
+  for (const std::shared_ptr<const RequestRecord>& record : records) {
+    const RequestRecord& trace = *record;
     std::string args = "\"trace_id\":\"" + FormatTraceId(trace.trace_id) +
                        "\",\"query\":\"";
     AppendJsonEscaped(&args, trace.query);

@@ -46,7 +46,10 @@ StatusOr<SearchResult> Engine::Search(std::string_view query_text,
   // Own the trace here so the parse stage lands in the same per-query
   // breakdown as the evaluation stages recorded by the overload below.
   trace::QueryTrace query_trace("engine");
-  if (metrics::Enabled()) query_trace.set_query(std::string(query_text));
+  // Only a root's query text is read (a batch chunk's search is nested).
+  if (metrics::Enabled() && query_trace.root() == &query_trace) {
+    query_trace.set_query(std::string(query_text));
+  }
   StatusOr<twig::TwigQuery> query = [&] {
     trace::StageSpan span(trace::Stage::kParse);
     return twig::ParseQuery(query_text);

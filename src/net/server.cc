@@ -528,15 +528,15 @@ HttpResponse Server::HandleAdminRequest(std::string_view path,
     return response;
   }
   if (path == "/slowlog.json") {
-    trace::SlowLog& ring = trace::SlowLog::Default();
+    trace::RequestRing& ring = trace::SlowRing();
     response.content_type = "application/json";
     response.body = trace::RenderSlowLogJson(ring.Last(ring.Len()));
     return response;
   }
   if (path == "/tracez") {
-    trace::TraceStore& store = trace::TraceStore::Default();
+    trace::RequestRing& ring = trace::TraceRing();
     response.content_type = "application/json";
-    response.body = trace::ChromeTraceJson(store.Last(store.Len()));
+    response.body = trace::ChromeTraceJson(ring.Last(ring.Len()));
     return response;
   }
   if (path == "/statements.json") {

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -402,13 +403,13 @@ StatusOr<std::string> ProtocolInterpreter::ExecuteCommand(
         }
         count = static_cast<size_t>(parsed);
       }
-      return trace::RenderSlowLogText(trace::SlowLog::Default().Last(count));
+      return trace::RenderSlowLogText(trace::SlowRing().Last(count));
     }
     if (sub == "len" && tokens.size() == 2) {
-      return std::to_string(trace::SlowLog::Default().Len());
+      return std::to_string(trace::SlowRing().Len());
     }
     if (sub == "reset" && tokens.size() == 2) {
-      trace::SlowLog::Default().Reset();
+      trace::SlowRing().Reset();
       return std::string("ok");
     }
     return Status::InvalidArgument("usage: SLOWLOG GET [n] | LEN | RESET");
@@ -426,7 +427,7 @@ StatusOr<std::string> ProtocolInterpreter::ExecuteCommand(
           }
           count = static_cast<size_t>(parsed);
         }
-        return trace::RenderTraceText(trace::TraceStore::Default().Last(count));
+        return trace::RenderTraceText(trace::TraceRing().Last(count));
       }
       if (sub == "export" && tokens.size() <= 3) {
         // Chrome trace-event JSON (open in Perfetto / chrome://tracing):
@@ -436,16 +437,16 @@ StatusOr<std::string> ProtocolInterpreter::ExecuteCommand(
           if (trace_id == 0) {
             return Status::InvalidArgument("bad trace id '" + tokens[2] + "'");
           }
-          std::optional<trace::CompletedTrace> found =
-              trace::TraceStore::Default().Find(trace_id);
-          if (!found.has_value()) {
+          std::shared_ptr<const trace::RequestRecord> found =
+              trace::TraceRing().Find(trace_id);
+          if (found == nullptr) {
             return Status::NotFound("trace " + tokens[2] +
                                     " not retained (sampled out or evicted)");
           }
-          return trace::ChromeTraceJson({*std::move(found)});
+          return trace::ChromeTraceJson({std::move(found)});
         }
-        trace::TraceStore& store = trace::TraceStore::Default();
-        return trace::ChromeTraceJson(store.Last(store.Len()));
+        trace::RequestRing& ring = trace::TraceRing();
+        return trace::ChromeTraceJson(ring.Last(ring.Len()));
       }
     }
     return Status::InvalidArgument(

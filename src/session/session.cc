@@ -1,5 +1,6 @@
 #include "session/session.h"
 
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "twig/plan/physical_plan.h"
 #include "twig/query_export.h"
@@ -70,7 +71,11 @@ StatusOr<SearchResult> Session::Run() const {
     CountFailedSearch();
     return compiled.status();
   }
-  query_trace.set_query(compiled->ToString());
+  // Only a root's query text is ever read (over TCP the "net" root
+  // carries the command line), so skip rendering it otherwise.
+  if (query_trace.root() == &query_trace && metrics::Enabled()) {
+    query_trace.set_query(compiled->ToString());
+  }
   const SearchOptions options{.eval = {},
                               .ranking = options_.ranking,
                               .rewrite_on_empty = options_.rewrite_on_empty,

@@ -259,20 +259,8 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
     }
   }
 
-  // Structured per-operator stats: one EvalStats slice per operator.
-  plan->stats.slices.clear();
-  plan->stats.slices.reserve(plan->ops.size());
-  for (const OperatorNode& op : plan->ops) {
-    PlanStats::Slice slice;
-    slice.op = std::string(OperatorName(op.kind));
-    if (!op.detail.empty()) slice.op += " " + op.detail;
-    slice.rows_in = op.actual_rows_in;
-    slice.rows_out = op.actual_rows_out;
-    slice.elapsed_ms = op.actual_ms;
-    plan->stats.slices.push_back(std::move(slice));
-  }
   result.stats.estimated_matches = plan->estimate.match_cardinality;
-  plan->stats.totals = result.stats;
+  plan->totals = result.stats;
   return result;
 }
 

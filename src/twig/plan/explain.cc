@@ -62,17 +62,17 @@ std::string DescribePlan(const PhysicalPlan& plan, bool include_actuals) {
   }
   out << "estimated matches: " << FmtRows(plan.estimate.match_cardinality);
   if (include_actuals) {
-    out << "; actual matches: " << plan.stats.totals.matches;
+    out << "; actual matches: " << plan.totals.matches;
   }
   out << "\n";
   if (include_actuals) {
-    out << "totals: scanned " << plan.stats.totals.candidates_scanned
-        << ", intermediate " << plan.stats.totals.intermediate_tuples
-        << ", elapsed " << FmtMs(plan.stats.totals.elapsed_ms) << " ms\n";
+    out << "totals: scanned " << plan.totals.candidates_scanned
+        << ", intermediate " << plan.totals.intermediate_tuples
+        << ", elapsed " << FmtMs(plan.totals.elapsed_ms) << " ms\n";
     out << "postings: blocks decoded "
-        << plan.stats.totals.posting_blocks_decoded << ", skipped "
-        << plan.stats.totals.posting_blocks_skipped << ", bytes "
-        << plan.stats.totals.posting_bytes_decoded << "\n";
+        << plan.totals.posting_blocks_decoded << ", skipped "
+        << plan.totals.posting_blocks_skipped << ", bytes "
+        << plan.totals.posting_bytes_decoded << "\n";
   }
   return out.str();
 }

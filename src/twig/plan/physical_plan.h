@@ -63,18 +63,6 @@ struct OperatorNode {
   std::vector<int> children;
 };
 
-/// Per-operator EvalStats slices plus the aggregate, built by ExecutePlan.
-struct PlanStats {
-  struct Slice {
-    std::string op;  // OperatorName + detail
-    uint64_t rows_in = 0;
-    uint64_t rows_out = 0;
-    double elapsed_ms = 0;
-  };
-  std::vector<Slice> slices;  // aligned with PhysicalPlan::ops
-  EvalStats totals;
-};
-
 /// A priced physical plan for one twig query: the operator tree plus the
 /// planner's inputs (resolved algorithm, hint flags, cardinality
 /// estimates) and, after ExecutePlan, the per-operator actuals.
@@ -93,8 +81,8 @@ struct PhysicalPlan {
   SelectivityEstimate estimate;
   /// Operators in child-before-parent order; ops.back() is the root.
   std::vector<OperatorNode> ops;
-  /// Filled by ExecutePlan.
-  PlanStats stats;
+  /// The evaluation's aggregate counters, filled by ExecutePlan.
+  EvalStats totals;
 
   /// Index of the first operator of `kind`, or -1.
   int FindOperator(OperatorKind kind) const;

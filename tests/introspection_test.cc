@@ -1,17 +1,17 @@
 // The introspection layer end to end: the span tree built by nested
 // QueryTrace/StageSpan/NamedSpan scopes, trace adoption across thread
-// pool boundaries, the SLOWLOG and TRACE retention rings (wraparound,
-// reset, concurrent writers), deterministic sampling, the CLIENTS
-// registry, the process-level gauges, and the batch slow-query
-// attribution regression (worker-side stage time must land in the
-// submitting request's entry).
+// pool boundaries, the one request record and the ring that retains it
+// for SLOWLOG and TRACE (wraparound, reset, concurrent writers),
+// deterministic sampling, the CLIENTS registry, the process-level
+// gauges, and the batch slow-query attribution regression (worker-side
+// stage time must land in the submitting request's entry).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -45,15 +45,15 @@ class IntrospectionEnv {
       : threshold_(SetSlowQueryThresholdMillis(0)),
         sample_rate_(SetTraceSampleRate(1.0)),
         sink_(SetLogSinkForTest([](std::string_view) {})) {
-    SlowLog::Default().Reset();
-    TraceStore::Default().Reset();
+    SlowRing().Reset();
+    TraceRing().Reset();
   }
   ~IntrospectionEnv() {
     SetSlowQueryThresholdMillis(threshold_);
     SetTraceSampleRate(sample_rate_);
     SetLogSinkForTest(std::move(sink_));
-    SlowLog::Default().Reset();
-    TraceStore::Default().Reset();
+    SlowRing().Reset();
+    TraceRing().Reset();
   }
 
  private:
@@ -82,9 +82,8 @@ TEST(TraceTreeTest, NestedScopesBuildSpansOnTheRoot) {
     NamedSpan named("chunk");
     BurnSomeTime();
   }
-  std::optional<CompletedTrace> retained =
-      TraceStore::Default().Find(trace_id);
-  ASSERT_TRUE(retained.has_value());
+  std::shared_ptr<const RequestRecord> retained = TraceRing().Find(trace_id);
+  ASSERT_NE(retained, nullptr);
   std::vector<std::string> names;
   names.reserve(retained->spans.size());
   for (const TraceSpan& span : retained->spans) names.push_back(span.name);
@@ -112,14 +111,13 @@ TEST(TraceTreeTest, UnsampledRequestsKeepStageTotalsButNoSpans) {
     BurnSomeTime();
   }
   // Slow (threshold 0) => the SLOWLOG entry still has the breakdown...
-  std::vector<SlowQueryEntry> entries = SlowLog::Default().Last(1);
+  RequestRecords entries = SlowRing().Last(1);
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_GT(entries[0].stage_ms[static_cast<int>(Stage::kExecute)], 0.0);
+  EXPECT_GT(entries[0]->stage_ms[static_cast<int>(Stage::kExecute)], 0.0);
   // ...and the trace is retained (slow queries bypass sampling) with an
   // empty span tree.
-  std::optional<CompletedTrace> retained =
-      TraceStore::Default().Find(trace_id);
-  ASSERT_TRUE(retained.has_value());
+  std::shared_ptr<const RequestRecord> retained = TraceRing().Find(trace_id);
+  ASSERT_NE(retained, nullptr);
   EXPECT_TRUE(retained->spans.empty());
 }
 
@@ -182,39 +180,39 @@ TEST(TraceTreeTest, MintedIdsAreUniqueAcrossThreads) {
 
 // -------------------------------------------------------- retention rings
 
-TEST(SlowLogTest, KeepsTheNewestEntriesOnWraparound) {
-  SlowLog ring(4);
+TEST(RequestRingTest, KeepsTheNewestEntriesOnWraparound) {
+  RequestRing ring(4, /*numbered=*/true);
   for (int i = 1; i <= 10; ++i) {
-    SlowQueryEntry entry;
-    entry.query = "q" + std::to_string(i);
+    auto entry = std::make_shared<RequestRecord>();
+    entry->query = "q" + std::to_string(i);
     ring.Add(entry);
   }
   EXPECT_EQ(ring.Len(), 4u);
   EXPECT_EQ(ring.TotalAdded(), 10u);
-  std::vector<SlowQueryEntry> last = ring.Last(100);
+  RequestRecords last = ring.Last(100);
   ASSERT_EQ(last.size(), 4u);
   // Newest first, ids assigned monotonically by the ring.
-  EXPECT_EQ(last[0].query, "q10");
-  EXPECT_EQ(last[3].query, "q7");
+  EXPECT_EQ(last[0]->query, "q10");
+  EXPECT_EQ(last[3]->query, "q7");
   for (size_t i = 1; i < last.size(); ++i) {
-    EXPECT_LT(last[i].id, last[i - 1].id);
+    EXPECT_LT(last[i]->id, last[i - 1]->id);
   }
 }
 
-TEST(SlowLogTest, ResetClearsEntriesButNotTheTotal) {
-  SlowLog ring(4);
-  ring.Add(SlowQueryEntry{});
-  ring.Add(SlowQueryEntry{});
+TEST(RequestRingTest, ResetClearsEntriesButNotTheTotal) {
+  RequestRing ring(4, /*numbered=*/true);
+  ring.Add(std::make_shared<RequestRecord>());
+  ring.Add(std::make_shared<RequestRecord>());
   ring.Reset();
   EXPECT_EQ(ring.Len(), 0u);
   EXPECT_EQ(ring.TotalAdded(), 2u);
-  ring.Add(SlowQueryEntry{});
+  ring.Add(std::make_shared<RequestRecord>());
   // Ids keep rising across resets so entries stay distinguishable.
-  EXPECT_EQ(ring.Last(1)[0].id, 3u);
+  EXPECT_EQ(ring.Last(1)[0]->id, 3u);
 }
 
-TEST(SlowLogTest, ConcurrentAddAndResetStaySane) {
-  SlowLog ring(16);
+TEST(RequestRingTest, ConcurrentAddAndResetStaySane) {
+  RequestRing ring(16, /*numbered=*/true);
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 500;
   std::atomic<bool> stop{false};
@@ -230,8 +228,8 @@ TEST(SlowLogTest, ConcurrentAddAndResetStaySane) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&ring] {
       for (int i = 0; i < kPerWriter; ++i) {
-        SlowQueryEntry entry;
-        entry.total_ms = i;
+        auto entry = std::make_shared<RequestRecord>();
+        entry->total_ms = i;
         ring.Add(entry);
       }
     });
@@ -244,34 +242,36 @@ TEST(SlowLogTest, ConcurrentAddAndResetStaySane) {
   EXPECT_LE(ring.Len(), 16u);
 }
 
-TEST(TraceStoreTest, KeepsTheNewestTracesAndFindsById) {
-  TraceStore store(4);
+TEST(RequestRingTest, KeepsTheNewestTracesAndFindsById) {
+  RequestRing ring(4, /*numbered=*/false);
   for (uint64_t id = 1; id <= 10; ++id) {
-    CompletedTrace trace;
-    trace.trace_id = id;
-    store.Add(trace);
+    auto trace = std::make_shared<RequestRecord>();
+    trace->trace_id = id;
+    ring.Add(trace);
   }
-  EXPECT_EQ(store.Len(), 4u);
-  EXPECT_FALSE(store.Find(1).has_value());  // evicted
-  ASSERT_TRUE(store.Find(9).has_value());
-  EXPECT_EQ(store.Find(9)->trace_id, 9u);
-  std::vector<CompletedTrace> last = store.Last(2);
+  EXPECT_EQ(ring.Len(), 4u);
+  EXPECT_EQ(ring.Find(1), nullptr);  // evicted
+  ASSERT_NE(ring.Find(9), nullptr);
+  EXPECT_EQ(ring.Find(9)->trace_id, 9u);
+  EXPECT_EQ(ring.Find(9)->id, 0u);  // an unnumbered ring stamps no id
+  RequestRecords last = ring.Last(2);
   ASSERT_EQ(last.size(), 2u);
-  EXPECT_EQ(last[0].trace_id, 10u);
-  EXPECT_EQ(last[1].trace_id, 9u);
-  store.Reset();
-  EXPECT_EQ(store.Len(), 0u);
+  EXPECT_EQ(last[0]->trace_id, 10u);
+  EXPECT_EQ(last[1]->trace_id, 9u);
+  ring.Reset();
+  EXPECT_EQ(ring.Len(), 0u);
 }
 
-TEST(TraceStoreTest, RenderersProduceStableMachineReadableForms) {
-  SlowQueryEntry entry;
-  entry.id = 7;
-  entry.trace_id = 0x1234;
-  entry.component = "engine";
-  entry.query = "//article[author]/\"title\"";
-  entry.detail = "twigstack";
-  entry.total_ms = 12.5;
-  entry.stage_ms[static_cast<int>(Stage::kExecute)] = 9.25;
+TEST(RequestRingTest, RenderersProduceStableMachineReadableForms) {
+  auto entry = std::make_shared<RequestRecord>();
+  entry->id = 7;
+  entry->trace_id = 0x1234;
+  entry->fingerprint = 0xabcd;
+  entry->component = "engine";
+  entry->query = "//article[author]/\"title\"";
+  entry->detail = "twigstack";
+  entry->total_ms = 12.5;
+  entry->stage_ms[static_cast<int>(Stage::kExecute)] = 9.25;
   std::string json = RenderSlowLogJson({entry});
   EXPECT_NE(json.find("\"trace_id\":\"0x0000000000001234\""),
             std::string::npos)
@@ -280,25 +280,91 @@ TEST(TraceStoreTest, RenderersProduceStableMachineReadableForms) {
   // The query's inner quotes must be escaped, not emitted raw.
   EXPECT_NE(json.find("\\\"title\\\""), std::string::npos) << json;
 
-  CompletedTrace trace;
-  trace.trace_id = 0x1234;
-  trace.component = "net";
-  trace.total_ms = 3.0;
+  auto trace = std::make_shared<RequestRecord>();
+  trace->trace_id = 0x1234;
+  trace->component = "net";
+  trace->total_ms = 3.0;
   TraceSpan span;
   span.name = "execute";
   span.start_us = 10;
   span.duration_us = 500;
   span.thread = 2;
-  trace.spans.push_back(span);
+  trace->spans.push_back(span);
   std::string chrome = ChromeTraceJson({trace});
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos) << chrome;
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos) << chrome;
   EXPECT_NE(chrome.find("\"name\":\"execute\""), std::string::npos) << chrome;
 
+  // SLOWLOG GET is the shared key=value line, one per record, in the
+  // documented key order.
   std::string text = RenderSlowLogText({entry});
-  EXPECT_NE(text.find("0x0000000000001234"), std::string::npos) << text;
-  EXPECT_NE(text.find("execute"), std::string::npos) << text;
+  EXPECT_EQ(text, RenderRecordText(*entry));
+  EXPECT_EQ(text.rfind("id=7 source=engine trace=0x0000000000001234 "
+                       "fingerprint=0x000000000000abcd time=",
+                       0),
+            0u)
+      << text;
+  EXPECT_NE(text.find(" total_ms=12.500 algorithm=twigstack "
+                      "query=\"//article[author]/\"title\"\" "
+                      "stages=execute:9.250"),
+            std::string::npos)
+      << text;
   EXPECT_EQ(RenderSlowLogText({}), "(empty)");
+  // A record that is not slow and ran no search names neither an id, a
+  // fingerprint nor an algorithm; no stage ran either.
+  std::string bare = RenderRecordText(RequestRecord{});
+  EXPECT_EQ(bare.find("id="), std::string::npos) << bare;
+  EXPECT_EQ(bare.find("fingerprint="), std::string::npos) << bare;
+  EXPECT_EQ(bare.find("algorithm="), std::string::npos) << bare;
+  EXPECT_NE(bare.find("stages=(none)"), std::string::npos) << bare;
+
+  // TRACE LAST heads each span tree with the same line.
+  std::string tree = RenderTraceText({trace});
+  EXPECT_EQ(tree.rfind(RenderRecordText(*trace) + " slow=no spans=1", 0), 0u)
+      << tree;
+  EXPECT_NE(tree.find("[t2] execute"), std::string::npos) << tree;
+}
+
+// One request, one record: the root builds it once, both rings hold the
+// same record, a nested trace logs no line of its own, and the detail a
+// nested layer stamps lands on the root.
+TEST(RequestRingTest, RootBuildsOneRecordForBothRingsAndTheLogLine) {
+  IntrospectionEnv env;
+  std::string captured;
+  LogSink sink = SetLogSinkForTest([&captured](std::string_view line) {
+    captured += std::string(line) + "\n";
+  });
+  uint64_t trace_id = 0;
+  {
+    QueryTrace root("net");
+    root.set_query_view("RUN");
+    trace_id = root.trace_id();
+    QueryTrace session("session");
+    session.set_fingerprint(0x5eed);
+    session.set_detail("twigstack");
+    StageSpan span(Stage::kExecute);
+    BurnSomeTime();
+  }
+  SetLogSinkForTest(std::move(sink));
+
+  RequestRecords slow = SlowRing().Last(10);
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0], TraceRing().Find(trace_id));  // stored once
+  EXPECT_EQ(slow[0]->component, "net");
+  EXPECT_EQ(slow[0]->query, "RUN");
+  EXPECT_EQ(slow[0]->detail, "twigstack");
+  EXPECT_EQ(slow[0]->fingerprint, 0x5eedu);
+  EXPECT_NE(slow[0]->id, 0u);
+
+  size_t lines = 0;
+  for (size_t at = captured.find("slow-query"); at != std::string::npos;
+       at = captured.find("slow-query", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 1u) << captured;
+  EXPECT_NE(captured.find("slow-query " + RenderRecordText(*slow[0])),
+            std::string::npos)
+      << captured;
 }
 
 // --------------------------------------------------------- batch fan-out
@@ -332,10 +398,10 @@ TEST(IntrospectionTest, SearchBatchSlowEntryCarriesWorkerStageTimes) {
       EXPECT_TRUE(result.ok()) << result.status().ToString();
     }
   }
-  std::vector<SlowQueryEntry> entries = SlowLog::Default().Last(100);
-  const SlowQueryEntry* batch_entry = nullptr;
-  for (const SlowQueryEntry& entry : entries) {
-    if (entry.trace_id == trace_id) batch_entry = &entry;
+  const RequestRecords entries = SlowRing().Last(100);
+  const RequestRecord* batch_entry = nullptr;
+  for (const std::shared_ptr<const RequestRecord>& entry : entries) {
+    if (entry->trace_id == trace_id) batch_entry = entry.get();
   }
   ASSERT_NE(batch_entry, nullptr) << "batch root missing from SLOWLOG";
   EXPECT_EQ(batch_entry->component, "batch");
@@ -344,9 +410,8 @@ TEST(IntrospectionTest, SearchBatchSlowEntryCarriesWorkerStageTimes) {
   // must surface in the submitting request's breakdown.
   EXPECT_GT(batch_entry->stage_ms[static_cast<int>(Stage::kExecute)], 0.0);
 
-  std::optional<CompletedTrace> retained =
-      TraceStore::Default().Find(trace_id);
-  ASSERT_TRUE(retained.has_value());
+  std::shared_ptr<const RequestRecord> retained = TraceRing().Find(trace_id);
+  ASSERT_NE(retained, nullptr);
   bool has_chunk_span = false;
   for (const TraceSpan& span : retained->spans) {
     if (span.name == "chunk") has_chunk_span = true;

@@ -14,10 +14,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/statement_store.h"
 #include "common/trace.h"
@@ -700,8 +702,8 @@ TEST_F(AdminPlaneTest, HealthzFlipsTo503DuringDrain) {
 TEST_F(AdminPlaneTest, SlowlogAndTracezServeJson) {
   double previous_threshold = trace::SetSlowQueryThresholdMillis(0);
   double previous_rate = trace::SetTraceSampleRate(1.0);
-  trace::SlowLog::Default().Reset();
-  trace::TraceStore::Default().Reset();
+  trace::SlowRing().Reset();
+  trace::TraceRing().Reset();
   auto server = StartWithAdmin();
   ASSERT_NE(server, nullptr);
 
@@ -722,8 +724,62 @@ TEST_F(AdminPlaneTest, SlowlogAndTracezServeJson) {
 
   trace::SetSlowQueryThresholdMillis(previous_threshold);
   trace::SetTraceSampleRate(previous_rate);
-  trace::SlowLog::Default().Reset();
-  trace::TraceStore::Default().Reset();
+  trace::SlowRing().Reset();
+  trace::TraceRing().Reset();
+}
+
+// One TCP RUN is one request: it logs one slow-query line, and its one
+// SLOWLOG entry names the algorithm the RUN response reports and the
+// statement fingerprint its search recorded.
+TEST_F(AdminPlaneTest, SlowRunLogsOneLineAndRecordsItsAlgorithm) {
+  const double previous_threshold = trace::SetSlowQueryThresholdMillis(0);
+  trace::SlowRing().Reset();
+  std::vector<std::string> lines;
+  LogSink previous_sink = SetLogSinkForTest(
+      [&lines](std::string_view line) { lines.emplace_back(line); });
+  auto server = StartWithAdmin();
+  ASSERT_NE(server, nullptr);
+  TestClient client(server->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(
+      "ADD 0 0 article\nADD 0 100 author\nEDGE 1 2 /\nRUN\n"));
+  std::vector<Frame> frames = client.ReadFrames(4);
+  ASSERT_EQ(frames.size(), 4u);
+  ASSERT_TRUE(frames[3].ok) << frames[3].payload;
+  const std::string& run = frames[3].payload;
+  const size_t at = run.find("algorithm: ");
+  ASSERT_NE(at, std::string::npos) << run;
+  const std::string algorithm =
+      run.substr(at + 11, run.find(',', at) - (at + 11));
+  ASSERT_FALSE(algorithm.empty()) << run;
+
+  std::shared_ptr<const trace::RequestRecord> entry;
+  for (const auto& record : trace::SlowRing().Last(trace::SlowRing().Len())) {
+    if (record->query == "RUN") entry = record;
+  }
+  ASSERT_NE(entry, nullptr) << "RUN missing from SLOWLOG";
+  EXPECT_EQ(entry->component, "net");
+  EXPECT_EQ(entry->detail, algorithm);
+  EXPECT_NE(entry->fingerprint, 0u);
+
+  // The line is logged before the RUN frame is written; swapping the
+  // sink back (under the log mutex) orders its write before the count.
+  SetLogSinkForTest(std::move(previous_sink));
+  trace::SetSlowQueryThresholdMillis(previous_threshold);
+  trace::SlowRing().Reset();
+  const std::string trace_key =
+      "trace=" + trace::FormatTraceId(entry->trace_id);
+  int run_lines = 0;
+  for (const std::string& line : lines) {
+    if (line.find("slow-query") != std::string::npos &&
+        line.find(trace_key) != std::string::npos) {
+      ++run_lines;
+      EXPECT_NE(line.find("algorithm=" + algorithm), std::string::npos)
+          << line;
+      EXPECT_NE(line.find("fingerprint=0x"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(run_lines, 1);
 }
 
 TEST_F(AdminPlaneTest, UnknownPathGets404) {
@@ -874,7 +930,7 @@ TEST_F(AdminPlaneTest, ProfilezCollectsOverTheQueryString) {
 
 TEST_F(AdminPlaneTest, SlowlogVerbRoundTripsOverTheWire) {
   double previous_threshold = trace::SetSlowQueryThresholdMillis(0);
-  trace::SlowLog::Default().Reset();
+  trace::SlowRing().Reset();
   auto server = StartWithAdmin();
   ASSERT_NE(server, nullptr);
   TestClient client(server->port());
@@ -893,7 +949,7 @@ TEST_F(AdminPlaneTest, SlowlogVerbRoundTripsOverTheWire) {
   ASSERT_TRUE(frames[3].ok);
   EXPECT_EQ(frames[3].payload, "ok");
   trace::SetSlowQueryThresholdMillis(previous_threshold);
-  trace::SlowLog::Default().Reset();
+  trace::SlowRing().Reset();
 }
 
 // Scrapes /metrics and STATS concurrently with live traffic: the whole

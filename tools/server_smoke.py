@@ -254,6 +254,11 @@ def main():
             if entry["query"] == "RUN" and entry["stages"]
         ]
         assert runs, f"no RUN entry with stage breakdown in {body!r}"
+        # The search inside the RUN stamps its algorithm on the request
+        # root, so the one entry per RUN names it.
+        assert all(entry["algorithm"] for entry in runs), (
+            f"RUN entry without an algorithm in {body!r}"
+        )
         trace_id = runs[0]["trace_id"]
         assert re.fullmatch(r"0x[0-9a-f]{16}", trace_id), trace_id
 
