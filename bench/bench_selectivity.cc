@@ -3,8 +3,9 @@
 //
 // Part 1: estimated vs actual match counts over a query suite (the
 // q-error, max(est/act, act/est), is the standard estimator metric).
-// Part 2: regret of the kAuto algorithm picker — how much slower the
-// chosen algorithm is than the best one per query.
+// Part 2: regret of the kAuto algorithm picker (the planner's cheapest
+// join) — how much slower the chosen algorithm is than the best one per
+// query.
 //
 // Expected shape: q-error near 1 for structure-only queries (the schema
 // evaluation is exact per node; only branch correlation adds error) and
@@ -18,6 +19,7 @@
 #include "datagen/datagen.h"
 #include "index/indexed_document.h"
 #include "twig/evaluator.h"
+#include "twig/plan/physical_plan.h"
 #include "twig/query_parser.h"
 #include "twig/selectivity.h"
 
@@ -79,7 +81,9 @@ void RunPicker(const Suite& suite, Table* table, double* regret_sum,
       }
       worst = std::max(worst, ms);
     }
-    twig::Algorithm chosen = twig::ChooseAlgorithm(*suite.indexed, query);
+    auto plan = twig::plan::Planner(*suite.indexed).Plan(query);
+    CHECK(plan.ok());
+    twig::Algorithm chosen = plan->algorithm;
     double chosen_ms =
         bench::TimedEvaluate(*suite.indexed, query, bench::EvalWith(chosen),
                              /*repetitions=*/3)

@@ -44,6 +44,10 @@ struct RawSample {
 RawSample* g_ring = nullptr;
 
 std::atomic<bool> g_armed{false};
+/// Handlers between their g_armed check and the end of their ring
+/// write. Collect() disarms, then waits for this to reach zero before it
+/// reads the ring: a handler that saw g_armed set may still be writing.
+std::atomic<uint32_t> g_in_flight{0};
 std::atomic<uint32_t> g_sample_count{0};
 std::atomic<uint64_t> g_dropped{0};
 std::atomic<uint64_t> g_signals{0};
@@ -82,16 +86,22 @@ int32_t CurrentTid() {
 // samplers (gperftools, absl symbolizer).
 void ProfileSignalHandler(int /*signum*/) {
   g_signals.fetch_add(1, std::memory_order_relaxed);
-  if (!g_armed.load(std::memory_order_acquire)) return;
-  const uint32_t index =
-      g_sample_count.fetch_add(1, std::memory_order_relaxed);
-  if (index >= kMaxSamples) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
+  // Announce before checking g_armed (both sequentially consistent):
+  // either this handler sees the disarm and writes nothing, or Collect()
+  // sees it in flight and waits for the release below.
+  g_in_flight.fetch_add(1, std::memory_order_seq_cst);
+  if (g_armed.load(std::memory_order_seq_cst)) {
+    const uint32_t index =
+        g_sample_count.fetch_add(1, std::memory_order_relaxed);
+    if (index < kMaxSamples) {
+      RawSample& sample = g_ring[index];
+      sample.tid = CurrentTid();
+      sample.depth = ::backtrace(sample.pcs, kMaxDepth);
+    } else {
+      g_dropped.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  RawSample& sample = g_ring[index];
-  sample.tid = CurrentTid();
-  sample.depth = ::backtrace(sample.pcs, kMaxDepth);
+  g_in_flight.fetch_sub(1, std::memory_order_release);
 }
 
 /// Best-effort frame name: dynamic symbol + demangle, else the raw
@@ -292,7 +302,12 @@ StatusOr<ProfileResult> Collect(Mode mode, double duration_ms, int hz) {
     ticker.join();
   }
 
-  g_armed.store(false, std::memory_order_release);
+  g_armed.store(false, std::memory_order_seq_cst);
+  // A handler that passed its g_armed check may still be writing its
+  // slot; the acquire pairs with its release and publishes the write.
+  while (g_in_flight.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
   // Discard any still-pending tick, then detach the handler. SIG_IGN
   // (not SIG_DFL: default SIGPROF action kills the process) makes the
   // disarmed profiler truly quiescent — zero handler invocations until

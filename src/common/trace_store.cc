@@ -125,7 +125,11 @@ std::string RenderRecordText(const RequestRecord& record) {
   out += " time=" + FormatWallTime(record.wall_start_us);
   out += " total_ms=" + FormatFixed(record.total_ms);
   if (!record.detail.empty()) out += " algorithm=" + record.detail;
-  out += " query=\"" + record.query + "\"";
+  // Quoted with JSON string escapes, so a `"` or `\` in the query cannot
+  // end the value early and the line stays one line.
+  out += " query=\"";
+  AppendJsonEscaped(&out, record.query);
+  out += '"';
   // Stage times overlap (rewrite re-enters plan/execute), so they need
   // not sum to total_ms.
   out += " stages=";

@@ -12,7 +12,7 @@ namespace lotusx::twig {
 
 /// Which twig-join algorithm the evaluator runs.
 enum class Algorithm {
-  kAuto,            // TJFast (LotusX's engine); PathStack for pure paths
+  kAuto,            // the planner's cheapest of PathStack/TwigStack/TJFast
   kStructuralJoin,  // binary stack-tree joins (baseline)
   kPathStack,       // path queries only
   kTwigStack,       // holistic with containment labels

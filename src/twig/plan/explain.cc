@@ -50,7 +50,7 @@ std::string DescribePlan(const PhysicalPlan& plan, bool include_actuals) {
   std::ostringstream out;
   out << "query: " << plan.query.ToString() << "\n";
   out << "algorithm: " << AlgorithmName(plan.algorithm) << " ("
-      << plan.choice_reason << ")\n";
+      << ChoiceReason(plan) << ")\n";
   out << "hints: order=" << (plan.apply_order ? "on" : "off")
       << " integrated-order=" << (plan.integrate_order ? "on" : "off")
       << " schema-prune=" << (plan.schema_prune ? "on" : "off")

@@ -49,8 +49,9 @@ struct OperatorNode {
   /// schema-empty operator names; kInvalidQueryNode for the operators
   /// above the leaves.
   QueryNodeId query_node = kInvalidQueryNode;
-  /// Planner estimates: output rows and abstract cost units (rows read +
-  /// rows materialized; the same quantities ChooseAlgorithm compares).
+  /// Planner estimates: output rows and abstract cost units. A join's
+  /// cost is the planner's one cost function, in TwigStack rows: the
+  /// number kAuto compared (planner.cc).
   double estimated_rows = 0;
   double estimated_cost = 0;
   /// Execution actuals.
@@ -70,8 +71,9 @@ struct PhysicalPlan {
   TwigQuery query;
   /// The resolved join algorithm (never kAuto).
   Algorithm algorithm = Algorithm::kTwigStack;
-  /// Why the planner picked it (cost comparison or caller's hint).
-  std::string choice_reason;
+  /// True when the caller's hint named the algorithm; otherwise kAuto
+  /// resolved to the cheapest priced join (ChoiceReason).
+  bool algorithm_forced = false;
   /// Hint flags baked into the operator tree.
   bool apply_order = true;
   bool integrate_order = false;  // resolved: only set when it applies
@@ -109,10 +111,10 @@ struct PlannerHints {
 PlannerHints HintsFrom(const EvalOptions& options);
 
 /// Cost-based query planner: prices the candidate join strategies with
-/// the DataGuide selectivity model (EstimateSelectivity) and produces a
-/// priced operator tree. Pure function of (index, query, hints) — the
-/// same inputs always yield the same plan, which is what makes cached
-/// Search results planner-safe.
+/// the DataGuide selectivity model (EstimateSelectivity), resolves kAuto
+/// to the cheapest, and produces a priced operator tree for it. Pure
+/// function of (index, query, hints) — the same inputs always yield the
+/// same plan, which is what makes cached Search results planner-safe.
 class Planner {
  public:
   explicit Planner(const index::IndexedDocument& indexed)
@@ -147,6 +149,12 @@ struct ExecuteOptions {
 StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
                                   PhysicalPlan* plan,
                                   const ExecuteOptions& options = {});
+
+/// Why the plan runs its join: "forced by caller hint", or every kAuto
+/// candidate's cost, cheapest first ("cheapest join: tjfast cost=945.8
+/// vs twigstack cost=2069.0"). The chosen join's cost is its operator's
+/// estimated_cost. Rendered on demand, so planning builds no string.
+std::string ChoiceReason(const PhysicalPlan& plan);
 
 /// Text rendering of a plan: one line per operator (indented tree) with
 /// estimated vs actual cardinalities, plus the planner's choice reason

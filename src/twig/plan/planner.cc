@@ -1,3 +1,4 @@
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -51,11 +52,38 @@ PlannerHints HintsFrom(const EvalOptions& options) {
 
 namespace {
 
-/// TJFast reads only leaf streams but pays a label decode per element;
-/// pricing that decode at 1/0.6 per row makes the cost comparison against
-/// TwigStack's full scan reproduce ChooseAlgorithm's calibrated 60%
-/// leaf-fraction threshold exactly.
-constexpr double kTjFastDecodeFactor = 1.0 / 0.6;
+/// Per-row work prices of the joins, in units of one TwigStack row. A
+/// join's cost is the predicate-scaled rows it reads (a scan's
+/// estimated_rows) times its price; kAuto runs the cheapest. The prices
+/// were fitted by choosing, per query, the fastest of the forced joins:
+/// on the E3 and E8 rows (bench_twig_algorithms --scale 10,
+/// bench_selectivity) and on the distinct twigs of servebench's seed-1
+/// twig_rank and relax_rewrite streams.
+///
+/// TwigStack: one getNext step per row of every query node's stream.
+constexpr double kTwigStackRowPrice = 1.0;
+/// PathStack: the same rows on a path without TwigStack's getNext
+/// recursion; E3's path rows run it in 0.56-0.93x TwigStack's time.
+constexpr double kPathStackRowPrice = 0.7;
+/// TJFast, per leaf row read: a fixed part, plus a part per DataGuide
+/// level of the leaf, because decoding the extended-Dewey label, aligning
+/// the query path and walking to the bound ancestors all follow the
+/// leaf's root path.
+constexpr double kTjFastRowPrice = 0.5;
+constexpr double kTjFastLevelPrice = 0.5;
+/// TJFast reads its smallest leaf stream in full and the others only
+/// inside the subtrees the rows read before them bind (the cross-leaf
+/// skip). This is the share of those later streams it still reads,
+/// measured on twig_rank's twigs (0.11 of their rows, weighted).
+constexpr double kTjFastLaterLeafShare = 0.1;
+
+/// The rows a scan of `q`'s stream yields: its length scaled by the
+/// predicate's selectivity.
+double ScanRows(const SelectivityEstimate& estimate, QueryNodeId q) {
+  const auto qi = static_cast<size_t>(q);
+  return estimate.node_stream_size[qi] *
+         estimate.node_predicate_selectivity[qi];
+}
 
 /// Estimated path solutions of the holistic phase 1: along one
 /// root-to-leaf path the per-edge fanouts telescope, so each leaf path
@@ -69,40 +97,94 @@ double EstimatedPathSolutions(const TwigQuery& query,
   return solutions;
 }
 
-/// Estimated intermediate tuples of the edge-at-a-time binary join: every
-/// node's bindings get materialized into some partial table.
-double EstimatedBinaryIntermediates(const TwigQuery& query,
-                                    const SelectivityEstimate& estimate) {
-  double intermediates = 0;
-  for (double cardinality : estimate.node_cardinality) {
-    intermediates += cardinality;
-  }
-  (void)query;
-  return intermediates;
-}
-
-/// Abstract cost (rows read + rows materialized) of running `algorithm`
-/// on a query with these estimates — the quantities the kAuto choice
-/// compares, recorded in the plan so EXPLAIN can show its work.
+/// The one cost function: the work of running `algorithm`'s join on a
+/// query with these estimates, in TwigStack rows. kAuto resolves to the
+/// cheapest candidate, and the join operator records its cost, so
+/// EXPLAIN shows the number the choice compared.
 double JoinCost(Algorithm algorithm, const TwigQuery& query,
                 const SelectivityEstimate& estimate) {
-  const double merge = EstimatedPathSolutions(query, estimate) +
-                       estimate.match_cardinality;
+  double rows = 0;
+  for (QueryNodeId q = 0; q < query.size(); ++q) {
+    rows += ScanRows(estimate, q);
+  }
   switch (algorithm) {
-    case Algorithm::kStructuralJoin:
-      return estimate.total_stream_size +
-             EstimatedBinaryIntermediates(query, estimate) +
-             estimate.match_cardinality;
+    case Algorithm::kStructuralJoin: {
+      // Never a kAuto candidate: priced for EXPLAIN of a forced plan,
+      // as the stack rows plus every node's bindings materialized into
+      // some partial table.
+      double intermediates = 0;
+      for (double cardinality : estimate.node_cardinality) {
+        intermediates += cardinality;
+      }
+      return kTwigStackRowPrice * (rows + intermediates);
+    }
     case Algorithm::kPathStack:
-      return estimate.total_stream_size + merge;
+      return kPathStackRowPrice * rows;
     case Algorithm::kTwigStack:
-      return estimate.total_stream_size + merge;
-    case Algorithm::kTJFast:
-      return estimate.leaf_stream_size * kTjFastDecodeFactor + merge;
+      return kTwigStackRowPrice * rows;
+    case Algorithm::kTJFast: {
+      // The smallest leaf stream (first in query order on ties) is the
+      // one TJFast reads in full.
+      QueryNodeId smallest = kInvalidQueryNode;
+      for (QueryNodeId q = 0; q < query.size(); ++q) {
+        if (!query.node(q).children.empty()) continue;
+        if (smallest == kInvalidQueryNode ||
+            ScanRows(estimate, q) < ScanRows(estimate, smallest)) {
+          smallest = q;
+        }
+      }
+      double cost = 0;
+      for (QueryNodeId q = 0; q < query.size(); ++q) {
+        if (!query.node(q).children.empty()) continue;
+        const double share = q == smallest ? 1.0 : kTjFastLaterLeafShare;
+        cost += share * ScanRows(estimate, q) *
+                (kTjFastRowPrice +
+                 kTjFastLevelPrice *
+                     estimate.node_depth[static_cast<size_t>(q)]);
+      }
+      return cost;
+    }
     case Algorithm::kAuto:
       break;
   }
   return 0;
+}
+
+/// kAuto's candidates, priced by JoinCost in the tie order PathStack
+/// (paths only), TwigStack, TJFast, and the cheapest of them: on equal
+/// costs the earlier wins.
+struct PricedCandidates {
+  struct Join {
+    Algorithm algorithm = Algorithm::kAuto;
+    double cost = 0;
+  };
+  std::array<Join, 3> joins;
+  size_t count = 0;
+  size_t cheapest = 0;
+};
+
+PricedCandidates PriceCandidates(const TwigQuery& query,
+                                 const SelectivityEstimate& estimate) {
+  PricedCandidates priced;
+  for (Algorithm candidate : {Algorithm::kPathStack, Algorithm::kTwigStack,
+                              Algorithm::kTJFast}) {
+    if (candidate == Algorithm::kPathStack && !query.IsPath()) continue;
+    priced.joins[priced.count++] = {candidate,
+                                    JoinCost(candidate, query, estimate)};
+  }
+  for (size_t i = 1; i < priced.count; ++i) {
+    if (priced.joins[i].cost < priced.joins[priced.cheapest].cost) {
+      priced.cheapest = i;
+    }
+  }
+  return priced;
+}
+
+/// "tjfast cost=945.8": how ChoiceReason names a priced join.
+std::string PricedName(const PricedCandidates::Join& join) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), " cost=%.1f", join.cost);
+  return std::string(AlgorithmName(join.algorithm)) + buffer;
 }
 
 /// The query node a schema-empty plan names: the first whose tag never
@@ -114,13 +196,6 @@ QueryNodeId UnboundNodeToName(const TwigQuery& query,
     if (estimate.node_stream_size[static_cast<size_t>(q)] == 0) return q;
   }
   return query.size() - 1;
-}
-
-std::string FormatPercent(double part, double whole) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%d%%",
-                whole > 0 ? static_cast<int>(100.0 * part / whole) : 0);
-  return buffer;
 }
 
 /// Expected number of posting blocks a scan decodes when the consumer
@@ -147,28 +222,20 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   plan.schema_prune = hints.schema_prune_streams;
   plan.estimate = EstimateSelectivity(indexed_, query);
 
-  // Resolve the join algorithm. ChooseAlgorithm remains the single source
-  // of truth for kAuto (its threshold is what JoinCost reproduces); a
-  // forced hint is honored verbatim, including kPathStack on a non-path
-  // query, which fails at execution exactly as it always has.
+  // Resolve the join algorithm: kAuto runs the cheapest join that can
+  // answer the query. A forced hint is honored verbatim, including
+  // kPathStack on a non-path query, which fails at execution exactly as
+  // it always has. Only numbers are computed here; ChoiceReason renders
+  // the comparison when EXPLAIN asks for it.
+  double join_cost = 0;
   if (hints.algorithm == Algorithm::kAuto) {
-    plan.algorithm = ChooseAlgorithm(query, plan.estimate);
-    if (plan.algorithm == Algorithm::kPathStack) {
-      plan.choice_reason =
-          "path query; holistic path join reads each stream once";
-    } else if (plan.algorithm == Algorithm::kTJFast) {
-      plan.choice_reason =
-          "leaf streams are " +
-          FormatPercent(plan.estimate.leaf_stream_size,
-                        plan.estimate.total_stream_size) +
-          " of total; decoding from leaf labels pays off";
-    } else {
-      plan.choice_reason =
-          "leaf streams dominate; containment-label join is cheaper";
-    }
+    const PricedCandidates priced = PriceCandidates(query, plan.estimate);
+    plan.algorithm = priced.joins[priced.cheapest].algorithm;
+    join_cost = priced.joins[priced.cheapest].cost;
   } else {
     plan.algorithm = hints.algorithm;
-    plan.choice_reason = "forced by caller hint";
+    plan.algorithm_forced = true;
+    join_cost = JoinCost(plan.algorithm, query, plan.estimate);
   }
 
   // Integrated order checking only exists inside the holistic merge phase.
@@ -221,8 +288,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     scan.detail = "<" + node.tag + ">";
     if (node.children.empty()) scan.detail += " leaf";
     if (node.predicate.active()) scan.detail += " +predicate";
-    scan.estimated_rows = plan.estimate.node_stream_size[qi] *
-                          plan.estimate.node_predicate_selectivity[qi];
+    scan.estimated_rows = ScanRows(plan.estimate, q);
     // Block-skip cost: a selective consumer pays per decoded block of
     // the compressed stream, not per posting. Wildcard scans have no
     // single stream and keep the row-count cost.
@@ -282,7 +348,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     case Algorithm::kAuto:
       return Status::Internal("unresolved kAuto algorithm in planner");
   }
-  join.estimated_cost = JoinCost(plan.algorithm, query, plan.estimate);
+  join.estimated_cost = join_cost;
   join.children = std::move(join_inputs);
   int top = add_op(std::move(join));
 
@@ -323,6 +389,19 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   sort.children = {top};
   add_op(std::move(sort));
   return plan;
+}
+
+std::string ChoiceReason(const PhysicalPlan& plan) {
+  if (plan.algorithm_forced) return "forced by caller hint";
+  const PricedCandidates priced = PriceCandidates(plan.query, plan.estimate);
+  std::string reason =
+      "cheapest join: " + PricedName(priced.joins[priced.cheapest]) + " vs ";
+  for (size_t i = 0, named = 0; i < priced.count; ++i) {
+    if (i == priced.cheapest) continue;
+    if (named++ > 0) reason += ", ";
+    reason += PricedName(priced.joins[i]);
+  }
+  return reason;
 }
 
 }  // namespace lotusx::twig::plan

@@ -58,6 +58,7 @@ SelectivityEstimate EstimateSelectivity(
                                           0.0);
   estimate.node_predicate_selectivity.assign(
       static_cast<size_t>(query.size()), 1.0);
+  estimate.node_depth.assign(static_cast<size_t>(query.size()), 0.0);
   estimate.node_posting_blocks.assign(static_cast<size_t>(query.size()),
                                       0.0);
   estimate.node_block_fill.assign(static_cast<size_t>(query.size()), 0.0);
@@ -74,12 +75,19 @@ SelectivityEstimate EstimateSelectivity(
   // paths, scaled by its predicate's selectivity.
   for (QueryNodeId q = 0; q < query.size(); ++q) {
     double occurrences = 0;
+    double weighted_depth = 0;
     for (index::PathId p :
          estimate.node_schema_paths[static_cast<size_t>(q)]) {
       occurrences += guide.node(p).count;
+      weighted_depth +=
+          static_cast<double>(guide.node(p).count) * guide.node(p).depth;
     }
     double selectivity = PredicateSelectivity(indexed, query.node(q));
     estimate.node_schema_occurrences[static_cast<size_t>(q)] = occurrences;
+    if (occurrences > 0) {
+      estimate.node_depth[static_cast<size_t>(q)] =
+          weighted_depth / occurrences;
+    }
     estimate.node_predicate_selectivity[static_cast<size_t>(q)] = selectivity;
     estimate.node_cardinality[static_cast<size_t>(q)] =
         occurrences * selectivity;
@@ -101,7 +109,7 @@ SelectivityEstimate EstimateSelectivity(
   // multiplies in its own fanout — the classic independence estimate.
   estimate.match_cardinality = std::max(matches, 0.0);
 
-  // Stream sizes the algorithms would read.
+  // Raw stream sizes and posting-block shapes.
   const xml::Document& document = indexed.document();
   for (QueryNodeId q = 0; q < query.size(); ++q) {
     const QueryNode& node = query.node(q);
@@ -120,8 +128,6 @@ SelectivityEstimate EstimateSelectivity(
           static_cast<double>(blocks.key_span);
     }
     estimate.node_stream_size[static_cast<size_t>(q)] = stream;
-    estimate.total_stream_size += stream;
-    if (node.children.empty()) estimate.leaf_stream_size += stream;
   }
   return estimate;
 }
@@ -130,25 +136,6 @@ bool SelectivityEstimate::SchemaEmpty() const {
   return std::any_of(
       node_schema_paths.begin(), node_schema_paths.end(),
       [](const std::vector<index::PathId>& paths) { return paths.empty(); });
-}
-
-Algorithm ChooseAlgorithm(const TwigQuery& query,
-                          const SelectivityEstimate& estimate) {
-  if (query.IsPath()) return Algorithm::kPathStack;
-  // TJFast reads only the leaf streams but pays a label-decode per
-  // element; prefer it when that saves a substantial fraction of the
-  // scan. Deep documents make decodes costlier, but depth is bounded in
-  // practice; the 60% threshold is calibrated by bench_selectivity.
-  if (estimate.total_stream_size > 0 &&
-      estimate.leaf_stream_size < 0.6 * estimate.total_stream_size) {
-    return Algorithm::kTJFast;
-  }
-  return Algorithm::kTwigStack;
-}
-
-Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
-                          const TwigQuery& query) {
-  return ChooseAlgorithm(query, EstimateSelectivity(indexed, query));
 }
 
 }  // namespace lotusx::twig

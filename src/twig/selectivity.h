@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "index/indexed_document.h"
-#include "twig/evaluator.h"
 #include "twig/twig_query.h"
 
 namespace lotusx::twig {
@@ -32,6 +31,11 @@ struct SelectivityEstimate {
   std::vector<double> node_schema_occurrences;
   /// Per-node selectivity of the value predicate (1.0 when absent).
   std::vector<double> node_predicate_selectivity;
+  /// Per-node mean DataGuide depth of the node's feasible paths, weighted
+  /// by occurrences (the root element's path has depth 0; 0 when the node
+  /// has no position). The planner prices TJFast's per-element label
+  /// decode and path alignment by it.
+  std::vector<double> node_depth;
   /// Per-node posting-block shape of the node's tag stream (zeros for
   /// wildcards, which have no single stream): number of compressed
   /// blocks, average entries per block, and covered key span. These feed
@@ -42,10 +46,6 @@ struct SelectivityEstimate {
   std::vector<double> node_key_span;
   /// Expected number of complete twig matches.
   double match_cardinality = 0;
-  /// Candidate stream sizes the algorithms would read: all nodes
-  /// (TwigStack/structural join) vs leaves only (TJFast).
-  double total_stream_size = 0;
-  double leaf_stream_size = 0;
 
   /// True when some query node has no DataGuide position, which proves
   /// the query has no match. The sets empty together: an unbound child
@@ -58,19 +58,6 @@ struct SelectivityEstimate {
 /// for valid queries; an unsatisfiable query estimates 0 everywhere.
 SelectivityEstimate EstimateSelectivity(
     const index::IndexedDocument& indexed, const TwigQuery& query);
-
-/// Cost-based algorithm choice: PathStack for paths; otherwise TJFast
-/// when the query's leaf streams are substantially smaller than the total
-/// streams (its decode work pays off), else TwigStack. This is what
-/// EvalOptions{.algorithm = kAuto} resolves to. Takes the query's
-/// estimate so a caller that already has one (the planner) does not walk
-/// the DataGuide again.
-Algorithm ChooseAlgorithm(const TwigQuery& query,
-                          const SelectivityEstimate& estimate);
-
-/// Same, estimating `query` first.
-Algorithm ChooseAlgorithm(const index::IndexedDocument& indexed,
-                          const TwigQuery& query);
 
 }  // namespace lotusx::twig
 

@@ -305,7 +305,7 @@ TEST(RequestRingTest, RenderersProduceStableMachineReadableForms) {
             0u)
       << text;
   EXPECT_NE(text.find(" total_ms=12.500 algorithm=twigstack "
-                      "query=\"//article[author]/\"title\"\" "
+                      "query=\"//article[author]/\\\"title\\\"\" "
                       "stages=execute:9.250"),
             std::string::npos)
       << text;

@@ -1,12 +1,15 @@
-// Tests for the cost-based planner layer (twig/plan/): ChooseAlgorithm
-// decision boundaries, plan shapes, the plan-equivalence guarantee (every
-// physical plan returns exactly the brute-force match set), schema-empty
-// plans, and the rendered EXPLAIN output the acceptance criteria pin.
+// Tests for the cost-based planner layer (twig/plan/): the kAuto choice
+// as the cheapest priced join, plan shapes, the plan-equivalence
+// guarantee (every physical plan returns exactly the brute-force match
+// set), schema-empty plans, and the rendered EXPLAIN output the
+// acceptance criteria pin.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -64,9 +67,8 @@ TwigQuery Q(std::string_view text) {
 }
 
 /// A document where the query //a[b][c] sees exactly `num_a` <a> elements
-/// and 30 each of <b> and <c>: leaf streams total 60, so num_a = 40 puts
-/// the leaf/total ratio exactly on the 0.6 threshold.
-index::IndexedDocument ThresholdDoc(int num_a) {
+/// and 30 each of <b> and <c>.
+index::IndexedDocument ThreeStreamDoc(int num_a) {
   std::string xml = "<r>";
   for (int i = 0; i < 30; ++i) xml += "<a><b/><c/></a>";
   for (int i = 30; i < num_a; ++i) xml += "<a/>";
@@ -74,46 +76,152 @@ index::IndexedDocument ThresholdDoc(int num_a) {
   return MustIndex(xml);
 }
 
-// ----------------------------------------- ChooseAlgorithm boundaries
+// ------------------------------------------------- the kAuto choice
 
-TEST(ChooseAlgorithmBoundaryTest, PathQueriesAlwaysUsePathStack) {
+/// The join operator's estimated cost in `plan`.
+double JoinOperatorCost(const plan::PhysicalPlan& plan) {
+  for (plan::OperatorKind kind :
+       {plan::OperatorKind::kPathStackJoin, plan::OperatorKind::kTwigStackJoin,
+        plan::OperatorKind::kTJFastJoin,
+        plan::OperatorKind::kBinaryStructuralJoin}) {
+    if (int index = plan.FindOperator(kind); index >= 0) {
+      return plan.ops[static_cast<size_t>(index)].estimated_cost;
+    }
+  }
+  ADD_FAILURE() << "no join operator";
+  return 0;
+}
+
+/// "tjfast cost=945.8", as ChoiceReason prints a priced join.
+std::string PricedName(Algorithm algorithm, double cost) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), " cost=%.1f", cost);
+  return std::string(AlgorithmName(algorithm)) + buffer;
+}
+
+/// kAuto's plan next to a forced plan of every join that can answer
+/// `query`: the choice is the cheapest forced join, the first of
+/// PathStack, TwigStack, TJFast on equal costs, and ChoiceReason prints
+/// each candidate's cost, the chosen one first.
+void ExpectCheapestJoin(const index::IndexedDocument& indexed,
+                        std::string_view text) {
+  TwigQuery query = Q(text);
+  auto chosen = plan::Planner(indexed).Plan(query);
+  ASSERT_TRUE(chosen.ok()) << text;
+  ASSERT_FALSE(chosen->IsSchemaEmpty()) << text;
+  const double chosen_cost = JoinOperatorCost(*chosen);
+  EXPECT_EQ(plan::ChoiceReason(*chosen).rfind(
+                "cheapest join: " + PricedName(chosen->algorithm, chosen_cost),
+                0),
+            0u)
+      << text << ": " << plan::ChoiceReason(*chosen);
+  for (Algorithm candidate :
+       {Algorithm::kPathStack, Algorithm::kTwigStack, Algorithm::kTJFast}) {
+    if (candidate == Algorithm::kPathStack && !query.IsPath()) continue;
+    plan::PlannerHints hints;
+    hints.algorithm = candidate;
+    auto forced = plan::Planner(indexed).Plan(query, hints);
+    ASSERT_TRUE(forced.ok()) << text;
+    const double cost = JoinOperatorCost(*forced);
+    EXPECT_NE(plan::ChoiceReason(*chosen).find(PricedName(candidate, cost)),
+              std::string::npos)
+        << text << ": " << plan::ChoiceReason(*chosen);
+    if (candidate < chosen->algorithm) {
+      EXPECT_GT(cost, chosen_cost) << text << " " << AlgorithmName(candidate);
+    } else {
+      EXPECT_GE(cost, chosen_cost) << text << " " << AlgorithmName(candidate);
+    }
+  }
+}
+
+TEST(PlannerCostTest, AutoIsTheCheapestPricedJoin) {
+  auto bib = MustIndex(kBibXml);
+  for (std::string_view text :
+       {"//title", "//article/title", "//dblp//book//title",
+        "//article[author]/title", R"(//article[year[="2012"]]/title)",
+        "//book[chapter//title]/author"}) {
+    ExpectCheapestJoin(bib, text);
+  }
+  for (int num_a : {30, 40, 41, 200}) {
+    ExpectCheapestJoin(ThreeStreamDoc(num_a), "//a[b][c]");
+  }
+}
+
+TEST(PlannerCostTest, PathsWithoutPredicatesPlanPathStack) {
+  // PathStack and TwigStack read the same rows on a path, PathStack
+  // more cheaply; TJFast would decode every leaf label.
   auto indexed = MustIndex(kBibXml);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//title")), Algorithm::kPathStack);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//article/title")),
-            Algorithm::kPathStack);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//dblp//book//title")),
-            Algorithm::kPathStack);
+  for (std::string_view text :
+       {"//title", "//article/title", "//dblp//book//title"}) {
+    auto plan = plan::Planner(indexed).Plan(Q(text));
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->algorithm, Algorithm::kPathStack) << text;
+  }
 }
 
-TEST(ChooseAlgorithmBoundaryTest, ExactlyAtThresholdPicksTwigStack) {
-  // leaf 60 / total 100 = 0.6: not strictly below the threshold.
-  auto indexed = ThresholdDoc(/*num_a=*/40);
-  SelectivityEstimate estimate = EstimateSelectivity(indexed, Q("//a[b][c]"));
-  ASSERT_EQ(estimate.total_stream_size, 100);
-  ASSERT_EQ(estimate.leaf_stream_size, 60);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//a[b][c]")), Algorithm::kTwigStack);
+TEST(PlannerCostTest, DeepLeavesPlanTwigStack) {
+  // TJFast pays per DataGuide level of the leaf it decodes: the same
+  // //a[b][c] streams plan TJFast near the root and TwigStack eight
+  // levels down.
+  std::string shallow = "<r>";
+  std::string deep = "<r><x><x><x><x><x><x>";
+  for (int i = 0; i < 30; ++i) {
+    shallow += "<a><b/><c/></a>";
+    deep += "<a><b/><c/></a>";
+  }
+  shallow += "</r>";
+  deep += "</x></x></x></x></x></x></r>";
+  auto near_root = plan::Planner(MustIndex(shallow)).Plan(Q("//a[b][c]"));
+  auto far_down = plan::Planner(MustIndex(deep)).Plan(Q("//a[b][c]"));
+  ASSERT_TRUE(near_root.ok());
+  ASSERT_TRUE(far_down.ok());
+  EXPECT_EQ(near_root->algorithm, Algorithm::kTJFast);
+  EXPECT_EQ(far_down->algorithm, Algorithm::kTwigStack);
 }
 
-TEST(ChooseAlgorithmBoundaryTest, JustBelowThresholdPicksTJFast) {
-  // leaf 60 / total 101 < 0.6: the internal stream is now big enough
-  // that scanning leaves only pays for the label decodes.
-  auto indexed = ThresholdDoc(/*num_a=*/41);
-  SelectivityEstimate estimate = EstimateSelectivity(indexed, Q("//a[b][c]"));
-  ASSERT_EQ(estimate.total_stream_size, 101);
-  ASSERT_EQ(estimate.leaf_stream_size, 60);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//a[b][c]")), Algorithm::kTJFast);
+TEST(PlannerCostTest, EmptyStreamsTieInTheFixedOrder) {
+  // No tag of these queries occurs: every candidate costs 0, and the
+  // first of PathStack, TwigStack, TJFast wins.
+  auto indexed = MustIndex(kBibXml);
+  auto path = plan::Planner(indexed).Plan(Q("//x//y"));
+  ASSERT_TRUE(path.ok());
+  EXPECT_EQ(path->algorithm, Algorithm::kPathStack);
+  EXPECT_EQ(plan::ChoiceReason(*path),
+            "cheapest join: pathstack cost=0.0 vs twigstack cost=0.0, "
+            "tjfast cost=0.0");
+  auto twig = plan::Planner(indexed).Plan(Q("//x[y]/z"));
+  ASSERT_TRUE(twig.ok());
+  EXPECT_EQ(twig->algorithm, Algorithm::kTwigStack);
+  EXPECT_EQ(plan::ChoiceReason(*twig),
+            "cheapest join: twigstack cost=0.0 vs tjfast cost=0.0");
 }
 
-TEST(ChooseAlgorithmBoundaryTest, PlannerAgreesWithChooseAlgorithm) {
-  // kAuto resolution inside the planner must stay in lock-step with
-  // ChooseAlgorithm — it is the single source of truth.
-  for (int num_a : {40, 41}) {
-    auto indexed = ThresholdDoc(num_a);
-    TwigQuery query = Q("//a[b][c]");
-    auto plan = plan::Planner(indexed).Plan(query);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_EQ(plan->algorithm, ChooseAlgorithm(indexed, query))
-        << "num_a=" << num_a;
+TEST(PlannerCostTest, SelectiveGeneratedTwigsPlanTJFast) {
+  // E8's twigs whose fastest join is TJFast: it reads the selective leaf
+  // first and the other leaf only under the articles or persons that
+  // leaf binds.
+  index::IndexedDocument dblp(datagen::GenerateDblpWithApproxNodes(21, 20000));
+  index::IndexedDocument xmark(
+      datagen::GenerateXmarkWithApproxNodes(21, 20000));
+  for (const auto& [indexed, text] :
+       {std::pair<const index::IndexedDocument*, std::string_view>{
+            &dblp, R"(//article[year[="2001"]]/title)"},
+        {&xmark, "//person[profile/interest]/name"}}) {
+    auto plan = plan::Planner(*indexed).Plan(Q(text));
+    ASSERT_TRUE(plan.ok()) << text;
+    EXPECT_EQ(plan->algorithm, Algorithm::kTJFast) << text;
+    const int join = plan->FindOperator(plan::OperatorKind::kTJFastJoin);
+    ASSERT_GE(join, 0) << text;
+    EXPECT_EQ(plan::ChoiceReason(*plan).rfind(
+                  "cheapest join: " +
+                      PricedName(Algorithm::kTJFast,
+                                 plan->ops[static_cast<size_t>(join)]
+                                     .estimated_cost) +
+                      " vs twigstack cost=",
+                  0),
+              0u)
+        << text << ": " << plan::ChoiceReason(*plan);
+    ExpectCheapestJoin(*indexed, text);
   }
 }
 
@@ -128,8 +236,10 @@ int CountOperators(const plan::PhysicalPlan& plan, plan::OperatorKind kind) {
 }
 
 TEST(PlannerTest, TJFastScansLeafStreamsOnly) {
-  auto indexed = ThresholdDoc(/*num_a=*/41);
-  auto plan = plan::Planner(indexed).Plan(Q("//a[b][c]"));
+  auto indexed = ThreeStreamDoc(/*num_a=*/41);
+  plan::PlannerHints hints;
+  hints.algorithm = Algorithm::kTJFast;
+  auto plan = plan::Planner(indexed).Plan(Q("//a[b][c]"), hints);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->algorithm, Algorithm::kTJFast);
   // //a[b][c] has two leaves (b, c); the internal node a has no scan.
@@ -139,8 +249,10 @@ TEST(PlannerTest, TJFastScansLeafStreamsOnly) {
 }
 
 TEST(PlannerTest, TwigStackScansEveryQueryNode) {
-  auto indexed = ThresholdDoc(/*num_a=*/40);
-  auto plan = plan::Planner(indexed).Plan(Q("//a[b][c]"));
+  auto indexed = ThreeStreamDoc(/*num_a=*/40);
+  plan::PlannerHints hints;
+  hints.algorithm = Algorithm::kTwigStack;
+  auto plan = plan::Planner(indexed).Plan(Q("//a[b][c]"), hints);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->algorithm, Algorithm::kTwigStack);
   EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kStreamScan), 3);
@@ -166,7 +278,7 @@ TEST(PlannerTest, ForcedAlgorithmIsHonored) {
   auto plan = plan::Planner(indexed).Plan(Q("//article[author]/title"), hints);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->algorithm, Algorithm::kStructuralJoin);
-  EXPECT_EQ(plan->choice_reason, "forced by caller hint");
+  EXPECT_EQ(plan::ChoiceReason(*plan), "forced by caller hint");
   EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kBinaryStructuralJoin),
             1);
   // No holistic phase-2 for the binary join.
@@ -657,8 +769,9 @@ std::string JoinReportedName(const index::IndexedDocument& indexed,
     case Algorithm::kTJFast:
       return TjFastEvaluate(indexed, query).stats.algorithm;
     case Algorithm::kAuto:
-      return JoinReportedName(indexed, query,
-                              ChooseAlgorithm(indexed, query), reorder);
+      return JoinReportedName(
+          indexed, query, plan::Planner(indexed).Plan(query)->algorithm,
+          reorder);
   }
   return "";
 }
@@ -692,8 +805,12 @@ TEST(SchemaEmptyPlanTest, ChoiceIsResolvedAsForAnyPlan) {
   auto plan = plan::Planner(indexed).Plan(Q("//article[author]/titel"));
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->IsSchemaEmpty());
-  EXPECT_EQ(plan->algorithm, ChooseAlgorithm(indexed, plan->query));
-  EXPECT_FALSE(plan->choice_reason.empty());
+  EXPECT_NE(plan->algorithm, Algorithm::kAuto);
+  EXPECT_EQ(plan::ChoiceReason(*plan).rfind(
+                "cheapest join: " + std::string(AlgorithmName(plan->algorithm)),
+                0),
+            0u)
+      << plan::ChoiceReason(*plan);
   EXPECT_EQ(plan->ops[0].query_node, 2);
   EXPECT_EQ(plan->ops[0].detail, "node 2 <titel> has no DataGuide position");
   EXPECT_EQ(plan->ops[0].estimated_rows, 0.0);

@@ -79,9 +79,29 @@ TEST(SelectivityTest, StreamSizesSeparateLeavesFromInternals) {
   auto indexed = MustIndex(kXml);
   SelectivityEstimate estimate =
       EstimateSelectivity(indexed, Q("//article[author]/title"));
-  // total = article(3) + author(4) + title(4); leaves = author + title.
-  EXPECT_DOUBLE_EQ(estimate.total_stream_size, 11.0);
-  EXPECT_DOUBLE_EQ(estimate.leaf_stream_size, 8.0);
+  // Each node reads its whole tag stream: article(3), author(4) and
+  // title(4), the book's author and title included.
+  ASSERT_EQ(estimate.node_stream_size.size(), 3u);
+  EXPECT_DOUBLE_EQ(estimate.node_stream_size[0], 3.0);
+  EXPECT_DOUBLE_EQ(estimate.node_stream_size[1], 4.0);
+  EXPECT_DOUBLE_EQ(estimate.node_stream_size[2], 4.0);
+}
+
+TEST(SelectivityTest, NodeDepthIsTheMeanDataGuideDepth) {
+  auto indexed = MustIndex(R"(<r>
+    <a><t/></a>
+    <b><c><t/></c></b>
+    <b><c><t/></c></b>
+  </r>)");
+  SelectivityEstimate estimate = EstimateSelectivity(indexed, Q("//*/t"));
+  // t sits at depth 2 once (r/a/t) and at depth 3 twice (r/b/c/t).
+  EXPECT_DOUBLE_EQ(estimate.node_depth[1], (2.0 + 3.0 + 3.0) / 3.0);
+  estimate = EstimateSelectivity(indexed, Q("//a/t"));
+  EXPECT_DOUBLE_EQ(estimate.node_depth[0], 1.0);
+  EXPECT_DOUBLE_EQ(estimate.node_depth[1], 2.0);
+  // A node with no DataGuide position has no depth.
+  estimate = EstimateSelectivity(indexed, Q("//a/c"));
+  EXPECT_DOUBLE_EQ(estimate.node_depth[1], 0.0);
 }
 
 TEST(SelectivityTest, EstimateTracksActualOnGeneratedCorpus) {
@@ -102,33 +122,6 @@ TEST(SelectivityTest, EstimateTracksActualOnGeneratedCorpus) {
     EXPECT_LE(estimate.match_cardinality, real * 3 + 5) << text;
     EXPECT_GE(estimate.match_cardinality, real / 3 - 5) << text;
   }
-}
-
-// -------------------------------------------------------- ChooseAlgorithm
-
-TEST(ChooseAlgorithmTest, PathsUsePathStack) {
-  auto indexed = MustIndex(kXml);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//article/title")),
-            Algorithm::kPathStack);
-}
-
-TEST(ChooseAlgorithmTest, HugeInternalStreamsPickTjFast) {
-  std::string xml = "<r>";
-  for (int i = 0; i < 40; ++i) {
-    xml += "<a><a><a>";
-    if (i % 8 == 0) xml += "<b/><c/>";
-    xml += "</a></a></a>";
-  }
-  xml += "</r>";
-  auto indexed = MustIndex(xml);
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//a[b]/c")), Algorithm::kTJFast);
-}
-
-TEST(ChooseAlgorithmTest, LeafHeavyTwigsPickTwigStack) {
-  auto indexed = MustIndex(kXml);
-  // article(3) internal; author(4)+title(4) leaves = 73% of streams.
-  EXPECT_EQ(ChooseAlgorithm(indexed, Q("//article[author]/title")),
-            Algorithm::kTwigStack);
 }
 
 }  // namespace
