@@ -13,7 +13,6 @@
 // joins stopping at once on an empty stream (see "blocks").
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <map>
 
@@ -128,20 +127,18 @@ void RunCorpus(std::string_view corpus_name,
                const std::vector<Workload>& workloads, Table* table) {
   for (const Workload& workload : workloads) {
     twig::TwigQuery query = bench::MustParse(workload.query);
-    // 5 variants: the 4 algorithms plus the selectivity-reordered binary
-    // join (the optimizer lever for the baseline).
-    for (int variant = 0; variant < 5; ++variant) {
-      Algorithm algorithm =
-          std::array<Algorithm, 5>{Algorithm::kStructuralJoin,
-                                   Algorithm::kStructuralJoin,
-                                   Algorithm::kPathStack,
-                                   Algorithm::kTwigStack,
-                                   Algorithm::kTJFast}[variant];
+    // The binary join in query edge order and selectivity-reordered (the
+    // optimizer lever for the baseline), then the holistic joins.
+    for (Algorithm algorithm :
+         {Algorithm::kStructuralJoin, Algorithm::kStructuralJoinReordered,
+          Algorithm::kPathStack, Algorithm::kTwigStack, Algorithm::kTJFast}) {
       if (algorithm == Algorithm::kPathStack && !query.IsPath()) continue;
-      if (variant == 1 && query.IsPath()) continue;  // reorder no-ops
-      bench::TimedEval timed = bench::TimedEvaluate(
-          indexed, query,
-          bench::EvalWith(algorithm, /*reorder_binary_joins=*/variant == 1));
+      // On a path the greedy edge order is the query order.
+      if (algorithm == Algorithm::kStructuralJoinReordered && query.IsPath()) {
+        continue;
+      }
+      bench::TimedEval timed =
+          bench::TimedEvaluate(indexed, query, bench::EvalWith(algorithm));
       table->AddRow({std::string(corpus_name), workload.name,
                      timed.result.stats.algorithm, Fmt(timed.ms, 2),
                      std::to_string(timed.result.stats.candidates_scanned),

@@ -259,21 +259,9 @@ inline twig::TwigQuery MustParse(std::string_view text) {
 }
 
 /// EvalOptions pinned to one algorithm — the per-algorithm bench rows.
-inline twig::EvalOptions EvalWith(twig::Algorithm algorithm,
-                                  bool reorder_binary_joins = false) {
+inline twig::EvalOptions EvalWith(twig::Algorithm algorithm) {
   twig::EvalOptions options;
   options.algorithm = algorithm;
-  options.reorder_binary_joins = reorder_binary_joins;
-  return options;
-}
-
-/// EvalOptions for the E4 order-sensitive ablation: `apply_order` off
-/// prices the query as if unordered; with it on, `integrate_order` picks
-/// integrated pruning versus post-filtering complete matches.
-inline twig::EvalOptions OrderEval(bool apply_order, bool integrate_order) {
-  twig::EvalOptions options;
-  options.apply_order = apply_order;
-  options.integrate_order = integrate_order;
   return options;
 }
 

@@ -48,11 +48,6 @@ class CompletionScope {
 
 }  // namespace
 
-std::vector<std::vector<PathId>> CompletionEngine::SchemaBindings(
-    const TwigQuery& query) const {
-  return twig::SchemaBindings(indexed_, query);
-}
-
 std::vector<Candidate> CompletionEngine::GlobalTagCandidates(
     std::string_view prefix, size_t limit) const {
   std::vector<Candidate> candidates;
@@ -102,7 +97,8 @@ StatusOr<std::vector<Candidate>> CompletionEngine::CompleteTag(
     return GlobalTagCandidates(request.prefix, request.limit);
   }
 
-  std::vector<std::vector<PathId>> bindings = SchemaBindings(query);
+  std::vector<std::vector<PathId>> bindings =
+      twig::SchemaBindings(indexed_, query);
   const std::vector<PathId>& anchor_paths =
       bindings[static_cast<size_t>(request.anchor)];
   // Aggregate candidate tags over all positions the anchor can take.
@@ -151,7 +147,8 @@ StatusOr<std::vector<Candidate>> CompletionEngine::CompleteValue(
   const index::Trie* trie = &indexed_.terms().term_trie();
   if (position_aware && query.node(node).tag != "*") {
     // Position must be satisfiable at all.
-    std::vector<std::vector<PathId>> bindings = SchemaBindings(query);
+    std::vector<std::vector<PathId>> bindings =
+        twig::SchemaBindings(indexed_, query);
     if (bindings[static_cast<size_t>(node)].empty()) {
       return std::vector<Candidate>{};
     }
@@ -178,12 +175,14 @@ bool CompletionEngine::ExtensionIsSatisfiable(const TwigQuery& query,
   if (query.empty() || anchor == twig::kInvalidQueryNode) {
     TwigQuery fresh;
     fresh.AddRoot(tag, axis);
-    std::vector<std::vector<PathId>> bindings = SchemaBindings(fresh);
+    std::vector<std::vector<PathId>> bindings =
+        twig::SchemaBindings(indexed_, fresh);
     return !bindings[0].empty();
   }
   TwigQuery extended = query;
   QueryNodeId added = extended.AddChild(anchor, axis, tag);
-  std::vector<std::vector<PathId>> bindings = SchemaBindings(extended);
+  std::vector<std::vector<PathId>> bindings =
+      twig::SchemaBindings(indexed_, extended);
   return !bindings[static_cast<size_t>(added)].empty();
 }
 

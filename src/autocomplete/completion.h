@@ -58,13 +58,6 @@ class CompletionEngine {
   explicit CompletionEngine(const index::IndexedDocument& indexed)
       : indexed_(indexed) {}
 
-  /// Per-query-node sets of DataGuide paths (ascending PathId) reachable
-  /// by some schema-level embedding of `query`. Value predicates require
-  /// the path to carry text (or be an attribute path). An unsatisfiable
-  /// query yields all-empty sets.
-  std::vector<std::vector<index::PathId>> SchemaBindings(
-      const twig::TwigQuery& query) const;
-
   /// Ranked tag candidates for extending `query` per `request`.
   StatusOr<std::vector<Candidate>> CompleteTag(
       const twig::TwigQuery& query, const TagRequest& request) const;

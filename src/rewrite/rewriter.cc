@@ -5,8 +5,8 @@
 #include <queue>
 #include <set>
 
-#include "autocomplete/completion.h"
 #include "common/string_util.h"
+#include "twig/schema_match.h"
 
 namespace lotusx::rewrite {
 
@@ -26,15 +26,6 @@ constexpr double kTagEditBasePenalty = 1.2;   // + 0.3 per edit
 constexpr double kSiblingTagPenalty = 2.5;
 constexpr double kWildcardPenalty = 3.5;
 constexpr double kDropLeafPenalty = 2.0;
-
-/// Tags observed anywhere in the document, by name.
-std::vector<std::string> DocumentTags(const xml::Document& document) {
-  std::vector<std::string> tags;
-  for (xml::TagId tag = 0; tag < document.num_tags(); ++tag) {
-    tags.emplace_back(document.tag_name(tag));
-  }
-  return tags;
-}
 
 /// Rebuilds `query` without the subtree rooted at `removed`, returning
 /// the remapping old id -> new id (kInvalidQueryNode for removed nodes).
@@ -119,14 +110,14 @@ std::vector<RewriteCandidate> Rewriter::Propose(
   // document's tags (typo repair), (b) sibling tags from the DataGuide —
   // tags occurring under the same parent paths (semantic neighbours).
   if (options.substitute_tags) {
-    std::vector<std::string> vocabulary = DocumentTags(document);
     for (QueryNodeId q = 0; q < query.size(); ++q) {
       const std::string& tag = query.node(q).tag;
       if (tag == "*") continue;
       bool unknown = document.FindTag(tag) == xml::kInvalidTagId;
       // (a) Spelling: only useful when the tag does not exist as written.
       if (unknown) {
-        for (const std::string& other : vocabulary) {
+        for (xml::TagId t = 0; t < document.num_tags(); ++t) {
+          const std::string_view other = document.tag_name(t);
           int distance = EditDistance(tag, other);
           if (distance == 0 || distance > 2) continue;
           TwigQuery repaired = query;
@@ -134,7 +125,7 @@ std::vector<RewriteCandidate> Rewriter::Propose(
           candidates.push_back(RewriteCandidate{
               std::move(repaired),
               kTagEditBasePenalty + 0.3 * distance,
-              "respell '" + tag + "' as '" + other + "'"});
+              "respell '" + tag + "' as '" + std::string(other) + "'"});
         }
       }
       // (b) Position-aware substitution: tags that can actually occur at
@@ -147,9 +138,8 @@ std::vector<RewriteCandidate> Rewriter::Propose(
       const index::DataGuide& guide = indexed_.dataguide();
       if (q != query.root()) {
         auto [context, remap] = RemoveSubtree(query, q);
-        autocomplete::CompletionEngine completion(indexed_);
         std::vector<std::vector<index::PathId>> bindings =
-            completion.SchemaBindings(context);
+            twig::SchemaBindings(indexed_, context);
         QueryNodeId parent =
             remap[static_cast<size_t>(query.node(q).parent)];
         Axis axis = query.node(q).incoming_axis;

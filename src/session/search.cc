@@ -76,11 +76,8 @@ std::string SearchCacheKey(const twig::TwigQuery& query,
   std::string key = query.ToString();
   key += '|';
   key += std::to_string(static_cast<int>(options.eval.algorithm));
-  // Every eval flag participates: apply_order changes answers; the other
-  // three change the EvalStats recorded in the cached SearchResult.
-  key += options.eval.apply_order ? 'o' : '-';
-  key += options.eval.integrate_order ? 'i' : '-';
-  key += options.eval.reorder_binary_joins ? 'j' : '-';
+  // Schema pruning changes the EvalStats recorded in the cached
+  // SearchResult, not its answers.
   key += options.eval.schema_prune_streams ? 's' : '-';
   key += options.rewrite_on_empty ? 'r' : '-';
   key += '|';

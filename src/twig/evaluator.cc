@@ -20,6 +20,8 @@ std::string_view AlgorithmName(Algorithm algorithm) {
       return "twigstack";
     case Algorithm::kTJFast:
       return "tjfast";
+    case Algorithm::kStructuralJoinReordered:
+      return "structural-join+reorder";
   }
   return "?";
 }
@@ -32,7 +34,7 @@ StatusOr<QueryResult> Evaluate(const index::IndexedDocument& indexed,
   plan::Planner planner(indexed);
   StatusOr<plan::PhysicalPlan> physical = [&] {
     trace::StageSpan span(trace::Stage::kPlan);
-    return planner.Plan(query, plan::HintsFrom(options));
+    return planner.Plan(query, plan::PlannerHints{options});
   }();
   LOTUSX_RETURN_IF_ERROR(physical.status());
   StatusOr<QueryResult> executed = [&] {

@@ -10,35 +10,26 @@
 
 namespace lotusx::twig {
 
-/// Which twig-join algorithm the evaluator runs.
+/// Which twig-join algorithm the evaluator runs. The values are stable:
+/// statement fingerprints hash them.
 enum class Algorithm {
   kAuto,            // the planner's cheapest of PathStack/TwigStack/TJFast
-  kStructuralJoin,  // binary stack-tree joins (baseline)
+  kStructuralJoin,  // binary stack-tree joins in query edge order (baseline)
   kPathStack,       // path queries only
   kTwigStack,       // holistic with containment labels
   kTJFast,          // holistic with extended Dewey (leaf streams only)
+  kStructuralJoinReordered,  // binary joins, smallest candidate stream
+                             // first (greedy selectivity edge order)
 };
 
 std::string_view AlgorithmName(Algorithm algorithm);
 
-/// Evaluation options. Every field maps 1:1 onto a planner hint
-/// (plan::HintsFrom) — the planner bakes them into the physical plan
-/// instead of branching inside the algorithms.
+/// Evaluation options: which join runs, and whether its streams are
+/// schema-pruned. Order constraints are always enforced: the holistic
+/// joins prune violating partial tuples inside their merge phase, and
+/// the binary structural join's plan post-filters complete matches.
 struct EvalOptions {
   Algorithm algorithm = Algorithm::kAuto;
-  /// Apply order constraints during evaluation. When false, ordered
-  /// queries are answered as if unordered (used by the E4 ablation to
-  /// price the naive post-filter externally).
-  bool apply_order = true;
-  /// Enforce order constraints inside the holistic algorithms' merge
-  /// phase (pruning partial tuples early) instead of post-filtering
-  /// complete matches. Same answers either way; E4 measures the
-  /// difference in work.
-  bool integrate_order = true;
-  /// Greedy selectivity ordering of the binary structural join's edges
-  /// (smallest candidate stream first); only affects kStructuralJoin.
-  /// E3 prices it against the naive query order.
-  bool reorder_binary_joins = false;
   /// Prune every input stream to the positions the query can actually
   /// bind (SchemaBindings over the DataGuide) before the join — the
   /// structural-summary optimization the E10 ablation prices. Never
@@ -48,10 +39,10 @@ struct EvalOptions {
 };
 
 /// Front door of the twig engine — a thin shim over the cost-based query
-/// planner (twig/plan/physical_plan.h): validates the query, maps the
-/// options to planner hints, builds a priced physical-operator plan, and
-/// executes it. All plans return exactly the same match set (a property
-/// the plan-equivalence suite asserts).
+/// planner (twig/plan/physical_plan.h): validates the query, passes the
+/// options to the planner as hints, builds a priced physical-operator
+/// plan, and executes it. All plans return exactly the same match set
+/// (a property the plan-equivalence suite asserts).
 StatusOr<QueryResult> Evaluate(const index::IndexedDocument& indexed,
                                const TwigQuery& query,
                                const EvalOptions& options = {});

@@ -82,12 +82,7 @@ QueryFingerprint FingerprintQuery(const TwigQuery& query,
   // behavior, and aggregating them together would hide exactly the
   // regressions the store exists to show.
   h = HashValue(h, static_cast<uint64_t>(options.algorithm));
-  h = HashValue(h, static_cast<uint64_t>(options.apply_order) |
-                       (static_cast<uint64_t>(options.integrate_order) << 1) |
-                       (static_cast<uint64_t>(options.reorder_binary_joins)
-                        << 2) |
-                       (static_cast<uint64_t>(options.schema_prune_streams)
-                        << 3));
+  h = HashValue(h, static_cast<uint64_t>(options.schema_prune_streams));
   fp.value = Finalize(h);
   if (fp.value == 0) fp.value = 1;  // reserve 0 as "no fingerprint"
   return fp;

@@ -130,10 +130,11 @@ std::vector<Match> MergePathSolutions(
     const TwigQuery& query,
     const std::vector<std::vector<QueryNodeId>>& paths,
     const std::vector<SolutionTable>& solutions, uint64_t* join_tuples,
-    const MergeOptions& options) {
+    const xml::Document* document) {
   CHECK_EQ(paths.size(), solutions.size());
-  bool prune = options.prune_order && options.document != nullptr &&
-               query.HasOrderConstraints();
+  const bool prune = query.HasOrderConstraints();
+  CHECK(!prune || document != nullptr)
+      << "order constraints need the document";
   if (paths.empty()) return {};
 
   // Path tables must be in root-first row order. Producers almost always
@@ -181,7 +182,7 @@ std::vector<Match> MergePathSolutions(
     bound[static_cast<size_t>(q)] = true;
     join_columns.push_back(q);
   }
-  if (prune) PruneByPartialOrder(query, *options.document, &table);
+  if (prune) PruneByPartialOrder(query, *document, &table);
   if (join_tuples != nullptr) *join_tuples += table.num_rows();
 
   for (size_t p = 1; p < paths.size() && table.num_rows() != 0; ++p) {
@@ -268,7 +269,7 @@ std::vector<Match> MergePathSolutions(
       bound[static_cast<size_t>(path[i])] = true;
       join_columns.push_back(path[i]);
     }
-    if (prune) PruneByPartialOrder(query, *options.document, &table);
+    if (prune) PruneByPartialOrder(query, *document, &table);
     if (join_tuples != nullptr) *join_tuples += table.num_rows();
   }
 

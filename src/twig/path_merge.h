@@ -9,15 +9,6 @@
 
 namespace lotusx::twig {
 
-struct MergeOptions {
-  /// When set (and `document` provided), partial tuples violating an
-  /// order constraint between two already-bound children are pruned after
-  /// every join step instead of post-filtering complete matches — the
-  /// "integrated" order evaluation of experiment E4.
-  bool prune_order = false;
-  const xml::Document* document = nullptr;
-};
-
 /// Root-to-leaf path solutions as a flat row-major table: row r binds
 /// path position i to rows[r * stride + i]. Producers (TwigStack's stack
 /// expansion, TJFast's label alignment) append rows in place instead of
@@ -51,10 +42,16 @@ struct SolutionTable {
 /// This is the merge phase of TwigStack, TJFast and (one path, no join)
 /// PathStack. `join_tuples`, when non-null, accumulates the number of
 /// tuples materialized across all join steps.
+///
+/// Order constraints are enforced here: after every join step, partial
+/// tuples whose already-bound children of an ordered node violate
+/// document order are dropped (the integrated order evaluation E4
+/// prices against post-filtering). `document` supplies the subtree ends;
+/// it may be null only when `query` has no order constraint.
 std::vector<Match> MergePathSolutions(
     const TwigQuery& query, const std::vector<std::vector<QueryNodeId>>& paths,
     const std::vector<SolutionTable>& solutions, uint64_t* join_tuples,
-    const MergeOptions& options = {});
+    const xml::Document* document = nullptr);
 
 }  // namespace lotusx::twig
 

@@ -75,14 +75,6 @@ metrics::Counter* DecodeUsecCounter() {
   return counter;
 }
 
-/// The EvalStats::algorithm string the plan's join reports, for a plan
-/// that runs no join.
-std::string_view JoinStatsName(const PhysicalPlan& plan) {
-  return plan.algorithm == Algorithm::kStructuralJoin
-             ? StructuralJoinName(plan.reorder_binary_joins)
-             : AlgorithmName(plan.algorithm);
-}
-
 /// Runs the join of a plan that has one, with its order filter and
 /// output sort, and fills the operators' actuals. Sets the result's
 /// elapsed time before the analyze-only passes, which are not part of
@@ -105,8 +97,10 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
   Timer join_timer;
   switch (plan->algorithm) {
     case Algorithm::kStructuralJoin:
-      result = StructuralJoinEvaluate(indexed, query, schema_ptr,
-                                      plan->reorder_binary_joins, ctx);
+    case Algorithm::kStructuralJoinReordered:
+      result = StructuralJoinEvaluate(
+          indexed, query, schema_ptr,
+          plan->algorithm == Algorithm::kStructuralJoinReordered, ctx);
       break;
     case Algorithm::kPathStack: {
       LOTUSX_ASSIGN_OR_RETURN(
@@ -114,12 +108,10 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
       break;
     }
     case Algorithm::kTwigStack:
-      result = TwigStackEvaluate(indexed, query, plan->integrate_order,
-                                 schema_ptr, ctx);
+      result = TwigStackEvaluate(indexed, query, schema_ptr, ctx);
       break;
     case Algorithm::kTJFast:
-      result = TjFastEvaluate(indexed, query, plan->integrate_order,
-                              schema_ptr, ctx);
+      result = TjFastEvaluate(indexed, query, schema_ptr, ctx);
       break;
     case Algorithm::kAuto:
       return Status::Internal("unresolved kAuto algorithm in plan");
@@ -127,24 +119,28 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
   const double join_ms = join_timer.ElapsedMillis();
   const uint64_t join_rows = result.matches.size();
 
-  const uint64_t pre_filter_rows = result.matches.size();
+  const bool binary = IsBinaryStructuralJoin(plan->algorithm);
   double filter_ms = 0;
-  bool filtered = false;
-  if (plan->apply_order && query.HasOrderConstraints()) {
-    // Idempotent after integrated pruning; required otherwise.
+  if (binary && query.HasOrderConstraints()) {
     Timer filter_timer;
     FilterByOrder(indexed.document(), query, &result.matches);
     result.stats.matches = result.matches.size();
     filter_ms = filter_timer.ElapsedMillis();
-    filtered = true;
   }
+  // Every match now satisfies the order constraints: the holistic joins
+  // prune violations inside their path merge.
+  LOTUSX_DCHECK(std::all_of(
+      result.matches.begin(), result.matches.end(), [&](const Match& m) {
+        return SatisfiesOrderConstraints(indexed.document(), query, m);
+      }))
+      << AlgorithmName(plan->algorithm) << " returned an order violation";
 
   Timer sort_timer;
-  if (plan->algorithm == Algorithm::kStructuralJoin) {
+  if (binary) {
     std::sort(result.matches.begin(), result.matches.end());
   } else {
     // The holistic joins' path merge returns canonical order (DESIGN.md
-    // "Ordered path merge"), and the order filter keeps it.
+    // "Ordered path merge").
     LOTUSX_DCHECK(
         std::is_sorted(result.matches.begin(), result.matches.end()))
         << AlgorithmName(plan->algorithm) << " returned unsorted matches";
@@ -196,10 +192,10 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
         op.has_actuals = true;
         break;
       case OperatorKind::kOrderFilter:
-        op.actual_rows_in = pre_filter_rows;
+        op.actual_rows_in = join_rows;
         op.actual_rows_out = result.matches.size();
         op.actual_ms = filter_ms;
-        op.has_actuals = filtered;
+        op.has_actuals = true;
         break;
       case OperatorKind::kOutputSort:
         op.actual_rows_in = result.matches.size();
@@ -234,7 +230,7 @@ StatusOr<QueryResult> ExecutePlan(const index::IndexedDocument& indexed,
   if (plan->IsSchemaEmpty()) {
     // No match exists (DESIGN.md "Schema-empty means empty"): every
     // counter stays 0, and the result names the join the plan resolved.
-    result.stats.algorithm = JoinStatsName(*plan);
+    result.stats.algorithm = AlgorithmName(plan->algorithm);
     result.stats.elapsed_ms = total_timer.ElapsedMillis();
     plan->ops.back().has_actuals = true;
   } else {

@@ -51,10 +51,7 @@ std::string DescribePlan(const PhysicalPlan& plan, bool include_actuals) {
   out << "query: " << plan.query.ToString() << "\n";
   out << "algorithm: " << AlgorithmName(plan.algorithm) << " ("
       << ChoiceReason(plan) << ")\n";
-  out << "hints: order=" << (plan.apply_order ? "on" : "off")
-      << " integrated-order=" << (plan.integrate_order ? "on" : "off")
-      << " schema-prune=" << (plan.schema_prune ? "on" : "off")
-      << " reorder-joins=" << (plan.reorder_binary_joins ? "on" : "off")
+  out << "hints: schema-prune=" << (plan.schema_prune ? "on" : "off")
       << "\n";
   if (!plan.ops.empty()) {
     RenderOperator(plan, static_cast<int>(plan.ops.size()) - 1, 0,
@@ -82,7 +79,7 @@ StatusOr<std::string> ExplainQuery(const index::IndexedDocument& indexed,
                                    const EvalOptions& options) {
   Planner planner(indexed);
   LOTUSX_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                          planner.Plan(query, HintsFrom(options)));
+                          planner.Plan(query, PlannerHints{options}));
   ExecuteOptions exec;
   exec.analyze = true;
   LOTUSX_RETURN_IF_ERROR(ExecutePlan(indexed, &plan, exec).status());

@@ -18,9 +18,11 @@ namespace lotusx::twig::plan {
 /// The physical operators a plan can contain. A plan is a small tree:
 /// per-query-node stream scans (optionally wrapped by a schema prune) feed
 /// one join operator, whose output flows through merge/expand (holistic
-/// algorithms only), an order filter, and the canonical output sort. A
-/// query with a node that has no DataGuide position plans as a single
-/// schema-empty operator instead (DESIGN.md "Schema-empty means empty").
+/// joins, which prune order violations there), an order filter (binary
+/// structural joins of ordered queries only), and the canonical output
+/// sort. A query with a node that has no DataGuide position plans as a
+/// single schema-empty operator instead (DESIGN.md "Schema-empty means
+/// empty").
 enum class OperatorKind {
   kStreamScan,            // read one query node's candidate stream
   kSchemaPrune,           // restrict a stream to DataGuide-feasible paths
@@ -29,7 +31,7 @@ enum class OperatorKind {
   kTwigStackJoin,         // holistic twig join, phase 1 (path solutions)
   kTJFastJoin,            // extended-Dewey leaf-stream join, phase 1
   kMergeExpand,           // phase 2: merge path solutions into matches
-  kOrderFilter,           // enforce order constraints on complete matches
+  kOrderFilter,           // order constraints on a binary join's matches
   kOutputSort,            // canonical document-order sort of the matches
   kSchemaEmpty,           // the whole plan: a node has no DataGuide position
 };
@@ -42,8 +44,8 @@ std::string_view OperatorName(OperatorKind kind);
 /// row counts in analyze mode only, and no own timing).
 struct OperatorNode {
   OperatorKind kind = OperatorKind::kOutputSort;
-  /// Operator-specific annotation ("<author> leaf stream", "greedy edge
-  /// order", "integrated order check", ...).
+  /// Operator-specific annotation ("<author> leaf stream", "greedy
+  /// selectivity edge order", "ordered merge; order pruning", ...).
   std::string detail;
   /// The query node a scan/prune operator serves, or the one a
   /// schema-empty operator names; kInvalidQueryNode for the operators
@@ -65,7 +67,7 @@ struct OperatorNode {
 };
 
 /// A priced physical plan for one twig query: the operator tree plus the
-/// planner's inputs (resolved algorithm, hint flags, cardinality
+/// planner's inputs (resolved algorithm, schema pruning, cardinality
 /// estimates) and, after ExecutePlan, the per-operator actuals.
 struct PhysicalPlan {
   TwigQuery query;
@@ -74,10 +76,7 @@ struct PhysicalPlan {
   /// True when the caller's hint named the algorithm; otherwise kAuto
   /// resolved to the cheapest priced join (ChoiceReason).
   bool algorithm_forced = false;
-  /// Hint flags baked into the operator tree.
-  bool apply_order = true;
-  bool integrate_order = false;  // resolved: only set when it applies
-  bool reorder_binary_joins = false;
+  /// Every stream is wrapped by a schema prune (the hint, baked in).
   bool schema_prune = false;
   /// The cost model's input.
   SelectivityEstimate estimate;
@@ -96,19 +95,19 @@ struct PhysicalPlan {
   }
 };
 
-/// Planner hints: EvalOptions expressed as preferences for the planner
-/// rather than branches inside the algorithms. Semantics match the
-/// EvalOptions fields of the same names.
-struct PlannerHints {
-  Algorithm algorithm = Algorithm::kAuto;
-  bool apply_order = true;
-  bool integrate_order = true;
-  bool reorder_binary_joins = false;
-  bool schema_prune_streams = false;
-};
+/// Planner hints: the EvalOptions, read as preferences for the planner
+/// rather than branches inside the algorithms (`PlannerHints{options}`).
+/// A type of its own so Planner::Plan's signature names the planner's
+/// input.
+struct PlannerHints : EvalOptions {};
 
-/// The public EvalOptions map 1:1 onto planner hints.
-PlannerHints HintsFrom(const EvalOptions& options);
+/// True for the binary structural joins, which materialize intermediate
+/// tables edge by edge: their plans post-filter order constraints and
+/// sort their output.
+inline bool IsBinaryStructuralJoin(Algorithm algorithm) {
+  return algorithm == Algorithm::kStructuralJoin ||
+         algorithm == Algorithm::kStructuralJoinReordered;
+}
 
 /// Cost-based query planner: prices the candidate join strategies with
 /// the DataGuide selectivity model (EstimateSelectivity), resolves kAuto

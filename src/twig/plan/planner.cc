@@ -40,16 +40,6 @@ int PhysicalPlan::FindOperator(OperatorKind kind) const {
   return -1;
 }
 
-PlannerHints HintsFrom(const EvalOptions& options) {
-  PlannerHints hints;
-  hints.algorithm = options.algorithm;
-  hints.apply_order = options.apply_order;
-  hints.integrate_order = options.integrate_order;
-  hints.reorder_binary_joins = options.reorder_binary_joins;
-  hints.schema_prune_streams = options.schema_prune_streams;
-  return hints;
-}
-
 namespace {
 
 /// Per-row work prices of the joins, in units of one TwigStack row. A
@@ -108,7 +98,8 @@ double JoinCost(Algorithm algorithm, const TwigQuery& query,
     rows += ScanRows(estimate, q);
   }
   switch (algorithm) {
-    case Algorithm::kStructuralJoin: {
+    case Algorithm::kStructuralJoin:
+    case Algorithm::kStructuralJoinReordered: {
       // Never a kAuto candidate: priced for EXPLAIN of a forced plan,
       // as the stack rows plus every node's bindings materialized into
       // some partial table.
@@ -217,8 +208,6 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   LOTUSX_RETURN_IF_ERROR(query.Validate());
   PhysicalPlan plan;
   plan.query = query;
-  plan.apply_order = hints.apply_order;
-  plan.reorder_binary_joins = hints.reorder_binary_joins;
   plan.schema_prune = hints.schema_prune_streams;
   plan.estimate = EstimateSelectivity(indexed_, query);
 
@@ -237,12 +226,6 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     plan.algorithm_forced = true;
     join_cost = JoinCost(plan.algorithm, query, plan.estimate);
   }
-
-  // Integrated order checking only exists inside the holistic merge phase.
-  plan.integrate_order = hints.apply_order && hints.integrate_order &&
-                         query.HasOrderConstraints() &&
-                         (plan.algorithm == Algorithm::kTwigStack ||
-                          plan.algorithm == Algorithm::kTJFast);
 
   // A query node with no DataGuide position has no binding in any match
   // (DESIGN.md "Schema-empty means empty"), so the plan opens no stream.
@@ -324,8 +307,9 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   OperatorNode join;
   switch (plan.algorithm) {
     case Algorithm::kStructuralJoin:
+    case Algorithm::kStructuralJoinReordered:
       join.kind = OperatorKind::kBinaryStructuralJoin;
-      join.detail = plan.reorder_binary_joins
+      join.detail = plan.algorithm == Algorithm::kStructuralJoinReordered
                         ? "greedy selectivity edge order"
                         : "query edge order";
       join.estimated_rows = match;
@@ -355,8 +339,10 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   if (holistic_merge) {
     OperatorNode merge;
     merge.kind = OperatorKind::kMergeExpand;
-    merge.detail = plan.integrate_order
-                       ? "ordered merge; integrated order pruning"
+    // The merge prunes partial tuples that violate an order constraint
+    // after every join step, so no order filter follows it.
+    merge.detail = query.HasOrderConstraints()
+                       ? "ordered merge; order pruning"
                        : "ordered merge of path solutions";
     merge.estimated_rows = match;
     merge.estimated_cost = path_solutions + match;
@@ -364,12 +350,12 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     top = add_op(std::move(merge));
   }
 
-  if (plan.apply_order && query.HasOrderConstraints()) {
+  // The binary join cannot prune during its join: its complete matches
+  // are filtered instead. (A path has no order constraint.)
+  if (IsBinaryStructuralJoin(plan.algorithm) && query.HasOrderConstraints()) {
     OperatorNode filter;
     filter.kind = OperatorKind::kOrderFilter;
-    filter.detail = plan.integrate_order
-                        ? "re-check after integrated pruning (idempotent)"
-                        : "post-filter complete matches";
+    filter.detail = "post-filter complete matches";
     // No order-selectivity model yet: assume the constraint keeps all
     // matches (the conservative upper bound).
     filter.estimated_rows = match;
@@ -384,8 +370,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   sort.estimated_rows = match;
   // Only the binary structural join sorts; the holistic joins' path merge
   // already emits canonical order, which the executor merely asserts.
-  sort.estimated_cost =
-      plan.algorithm == Algorithm::kStructuralJoin ? match : 0;
+  sort.estimated_cost = IsBinaryStructuralJoin(plan.algorithm) ? match : 0;
   sort.children = {top};
   add_op(std::move(sort));
   return plan;

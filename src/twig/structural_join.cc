@@ -4,6 +4,7 @@
 
 #include "common/timer.h"
 #include "twig/candidates.h"
+#include "twig/evaluator.h"
 
 namespace lotusx::twig {
 
@@ -82,7 +83,9 @@ QueryResult StructuralJoinEvaluate(
   if (ctx == nullptr) ctx = &local_ctx;
   Timer timer;
   QueryResult result;
-  result.stats.algorithm = StructuralJoinName(reorder_joins);
+  result.stats.algorithm =
+      AlgorithmName(reorder_joins ? Algorithm::kStructuralJoinReordered
+                                  : Algorithm::kStructuralJoin);
   const xml::Document& document = indexed.document();
 
   // Candidate streams.

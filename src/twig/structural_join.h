@@ -1,8 +1,6 @@
 #ifndef LOTUSX_TWIG_STRUCTURAL_JOIN_H_
 #define LOTUSX_TWIG_STRUCTURAL_JOIN_H_
 
-#include <string_view>
-
 #include "index/indexed_document.h"
 #include "twig/eval_context.h"
 #include "twig/match.h"
@@ -18,26 +16,22 @@ namespace lotusx::twig {
 /// algorithms (TwigStack, TJFast) were designed to avoid — which is
 /// exactly what experiment E3 demonstrates.
 ///
-/// Order constraints are NOT applied here; the evaluator post-filters.
-/// `schema_bindings`, when non-null (one sorted PathId list per query
+/// Order constraints are NOT applied here; the plan post-filters the
+/// complete matches (order-filter operator). `schema_bindings`, when non-null (one sorted PathId list per query
 /// node, from SchemaBindings), prunes each input stream to feasible
 /// positions before joining.
 ///
 /// With `reorder_joins`, edges are processed greedily by candidate-stream
 /// size (parent-first constraint respected) instead of query order — the
 /// classic join-ordering lever: putting a selective branch early shrinks
-/// every later intermediate table. Same answers either way.
+/// every later intermediate table. Same answers either way; the stats
+/// name the algorithm kStructuralJoin or kStructuralJoinReordered.
 /// `ctx` supplies the per-query arena and posting counters; a local one
 /// is created when null (direct calls in tests).
 QueryResult StructuralJoinEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
     const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     bool reorder_joins = false, EvalContext* ctx = nullptr);
-
-/// The EvalStats::algorithm name StructuralJoinEvaluate reports.
-inline std::string_view StructuralJoinName(bool reorder_joins) {
-  return reorder_joins ? "structural-join+reorder" : "structural-join";
-}
 
 }  // namespace lotusx::twig
 

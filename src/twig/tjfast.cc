@@ -107,7 +107,6 @@ class PathAligner {
 
 QueryResult TjFastEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    bool integrate_order,
     const std::vector<std::vector<index::PathId>>* schema_bindings,
     EvalContext* ctx) {
   EvalContext local_ctx;
@@ -246,12 +245,9 @@ QueryResult TjFastEvaluate(
     }
   }
 
-  MergeOptions merge_options;
-  merge_options.prune_order = integrate_order;
-  merge_options.document = &document;
   result.matches =
       MergePathSolutions(query, paths, solutions,
-                         &result.stats.intermediate_tuples, merge_options);
+                         &result.stats.intermediate_tuples, &document);
   result.stats.matches = result.matches.size();
   result.stats.candidates_scanned = ElementsRead(streams);
   FillPostingStats(*ctx, &result.stats);

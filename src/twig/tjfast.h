@@ -28,12 +28,10 @@ namespace lotusx::twig {
 /// Internal-node value predicates, which a leaf label cannot attest, are
 /// verified against the materialized ancestor before a solution is kept.
 ///
-/// Order constraints are NOT applied here; the evaluator post-filters.
-/// With integrate_order, order constraints are pruned during the merge
-/// phase (partial tuples) instead of post-filtered by the evaluator.
+/// Order constraints are enforced in the merge phase, which prunes
+/// partial tuples that violate them.
 QueryResult TjFastEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    bool integrate_order = false,
     const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     EvalContext* ctx = nullptr);
 

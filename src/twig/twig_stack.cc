@@ -23,13 +23,11 @@ constexpr xml::TagId kAnyElement = -2;
 class TwigStackRun {
  public:
   TwigStackRun(const index::IndexedDocument& indexed, const TwigQuery& query,
-               bool integrate_order,
                const std::vector<std::vector<index::PathId>>* schema_bindings,
                EvalContext* ctx)
       : document_(indexed.document()),
         query_(query),
         ctx_(ctx),
-        integrate_order_(integrate_order),
         stacks_(static_cast<size_t>(query.size())) {
     streams_.reserve(static_cast<size_t>(query.size()));
     stream_tags_.reserve(static_cast<size_t>(query.size()));
@@ -102,12 +100,9 @@ class TwigStackRun {
     for (const SolutionTable& solutions : path_solutions_) {
       result.stats.intermediate_tuples += solutions.num_rows();
     }
-    MergeOptions merge_options;
-    merge_options.prune_order = integrate_order_;
-    merge_options.document = &document_;
     result.matches =
         MergePathSolutions(query_, paths_, path_solutions_,
-                           &result.stats.intermediate_tuples, merge_options);
+                           &result.stats.intermediate_tuples, &document_);
     result.stats.matches = result.matches.size();
     result.stats.candidates_scanned = ElementsRead(streams_);
     FillPostingStats(*ctx_, &result.stats);
@@ -207,7 +202,6 @@ class TwigStackRun {
   const xml::Document& document_;
   const TwigQuery& query_;
   EvalContext* ctx_;
-  bool integrate_order_;
   std::vector<CandidateStream> streams_;
   std::vector<xml::TagId> stream_tags_;  // q's tag; kAnyElement for "*"
   std::vector<Stack> stacks_;
@@ -221,13 +215,11 @@ class TwigStackRun {
 
 QueryResult TwigStackEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    bool integrate_order,
     const std::vector<std::vector<index::PathId>>* schema_bindings,
     EvalContext* ctx) {
   EvalContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  return TwigStackRun(indexed, query, integrate_order, schema_bindings, ctx)
-      .Run();
+  return TwigStackRun(indexed, query, schema_bindings, ctx).Run();
 }
 
 }  // namespace lotusx::twig

@@ -17,12 +17,10 @@ namespace lotusx::twig {
 /// algorithm remains correct but may emit non-merging path solutions —
 /// the known suboptimality that motivated TJFast.
 ///
-/// Order constraints are NOT applied here; the evaluator post-filters.
-/// With integrate_order, order constraints are pruned during the merge
-/// phase instead of post-filtered by the evaluator.
+/// Order constraints are enforced in the merge phase, which prunes
+/// partial tuples that violate them.
 QueryResult TwigStackEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    bool integrate_order = false,
     const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     EvalContext* ctx = nullptr);
 

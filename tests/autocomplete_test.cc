@@ -4,12 +4,14 @@
 #include "datagen/datagen.h"
 #include "tests/test_util.h"
 #include "twig/query_parser.h"
+#include "twig/schema_match.h"
 
 namespace lotusx::autocomplete {
 namespace {
 
 using lotusx::testing::MustIndex;
 using twig::Axis;
+using twig::SchemaBindings;
 using twig::TwigQuery;
 
 constexpr std::string_view kStoreXml = R"(<store>
@@ -55,19 +57,17 @@ std::vector<std::string> Texts(const std::vector<Candidate>& candidates) {
 
 TEST(SchemaBindingsTest, SingleNodeBindsAllItsPaths) {
   auto indexed = MustIndex(kStoreXml);
-  CompletionEngine engine(indexed);
   // "name" occurs at 5 distinct paths: store/name, category/name,
   // product/name, album/name... store/category/name and
   // store/category/product/name and store/category/album/name -> 4.
-  auto bindings = engine.SchemaBindings(Q("//name"));
+  auto bindings = SchemaBindings(indexed, Q("//name"));
   EXPECT_EQ(bindings[0].size(), 4u);
 }
 
 TEST(SchemaBindingsTest, StructureRestrictsBindings) {
   auto indexed = MustIndex(kStoreXml);
-  CompletionEngine engine(indexed);
   // name under product: exactly one path.
-  auto bindings = engine.SchemaBindings(Q("//product/name"));
+  auto bindings = SchemaBindings(indexed, Q("//product/name"));
   ASSERT_EQ(bindings.size(), 2u);
   EXPECT_EQ(bindings[0].size(), 1u);  // product path
   EXPECT_EQ(bindings[1].size(), 1u);  // product/name path
@@ -78,13 +78,12 @@ TEST(SchemaBindingsTest, StructureRestrictsBindings) {
 
 TEST(SchemaBindingsTest, BranchesConstrainEachOther) {
   auto indexed = MustIndex(kStoreXml);
-  CompletionEngine engine(indexed);
   // A node with both brand and review children must be a product; name
   // under it binds only to the product name path.
-  auto bindings = engine.SchemaBindings(Q("//*[brand][review]/name"));
+  auto bindings = SchemaBindings(indexed, Q("//*[brand][review]/name"));
   EXPECT_EQ(bindings[3].size(), 1u);
   // With an artist child it must be an album.
-  auto album = engine.SchemaBindings(Q("//*[artist]/name"));
+  auto album = SchemaBindings(indexed, Q("//*[artist]/name"));
   ASSERT_EQ(album[0].size(), 1u);
   EXPECT_EQ(indexed.dataguide().PathString(indexed.document(), album[0][0]),
             "/store/category/album");
@@ -92,28 +91,25 @@ TEST(SchemaBindingsTest, BranchesConstrainEachOther) {
 
 TEST(SchemaBindingsTest, UnsatisfiableQueryHasEmptyBindings) {
   auto indexed = MustIndex(kStoreXml);
-  CompletionEngine engine(indexed);
-  auto bindings = engine.SchemaBindings(Q("//album/brand"));
+  auto bindings = SchemaBindings(indexed, Q("//album/brand"));
   EXPECT_TRUE(bindings[0].empty());
   EXPECT_TRUE(bindings[1].empty());
 }
 
 TEST(SchemaBindingsTest, RootAxisAnchorsToDocumentRoot) {
   auto indexed = MustIndex(kStoreXml);
-  CompletionEngine engine(indexed);
-  EXPECT_EQ(engine.SchemaBindings(Q("/store"))[0].size(), 1u);
-  EXPECT_TRUE(engine.SchemaBindings(Q("/category"))[0].empty());
-  EXPECT_EQ(engine.SchemaBindings(Q("//category"))[0].size(), 1u);
+  EXPECT_EQ(SchemaBindings(indexed, Q("/store"))[0].size(), 1u);
+  EXPECT_TRUE(SchemaBindings(indexed, Q("/category"))[0].empty());
+  EXPECT_EQ(SchemaBindings(indexed, Q("//category"))[0].size(), 1u);
 }
 
 TEST(SchemaBindingsTest, ValuePredicateRequiresText) {
   auto indexed = MustIndex("<r><a><b>text</b></a><a><c/></a></r>");
-  CompletionEngine engine(indexed);
   TwigQuery with_value = Q(R"(//c[~"x"])");
   // c has no text: no path qualifies.
-  EXPECT_TRUE(engine.SchemaBindings(with_value)[0].empty());
+  EXPECT_TRUE(SchemaBindings(indexed, with_value)[0].empty());
   TwigQuery b_value = Q(R"(//b[~"text"])");
-  EXPECT_EQ(engine.SchemaBindings(b_value)[0].size(), 1u);
+  EXPECT_EQ(SchemaBindings(indexed, b_value)[0].size(), 1u);
 }
 
 // ------------------------------------------------------------ CompleteTag

@@ -125,18 +125,8 @@ TEST(FingerprintTest, EveryEvalOptionFieldFeedsTheFingerprint) {
   }
   {
     EvalOptions o;
-    o.apply_order = false;
-    variants.emplace_back("apply_order", o);
-  }
-  {
-    EvalOptions o;
-    o.integrate_order = false;
-    variants.emplace_back("integrate_order", o);
-  }
-  {
-    EvalOptions o;
-    o.reorder_binary_joins = true;
-    variants.emplace_back("reorder_binary_joins", o);
+    o.algorithm = Algorithm::kStructuralJoinReordered;
+    variants.emplace_back("algorithm=structural-join+reorder", o);
   }
   {
     EvalOptions o;

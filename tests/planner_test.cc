@@ -31,6 +31,7 @@ namespace lotusx::twig {
 namespace {
 
 using lotusx::testing::BruteForceMatches;
+using lotusx::testing::kAllAlgorithms;
 using lotusx::testing::MustIndex;
 
 constexpr std::string_view kBibXml = R"(<dblp>
@@ -286,31 +287,50 @@ TEST(PlannerTest, ForcedAlgorithmIsHonored) {
 }
 
 TEST(PlannerTest, OrderedQueryPlansAnOrderFilter) {
+  // The binary structural joins cannot prune during their join: an
+  // ordered query's matches are filtered after it.
   auto indexed = MustIndex(kBibXml);
-  auto plan = plan::Planner(indexed).Plan(Q("//article[ordered][author][title]"));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kOrderFilter), 1);
-  // Holistic algorithm -> integrated order checking resolves on.
-  EXPECT_TRUE(plan->integrate_order);
+  for (Algorithm algorithm :
+       {Algorithm::kStructuralJoin, Algorithm::kStructuralJoinReordered}) {
+    plan::PlannerHints hints;
+    hints.algorithm = algorithm;
+    auto plan = plan::Planner(indexed).Plan(
+        Q("//article[ordered][author][title]"), hints);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kOrderFilter), 1)
+        << AlgorithmName(algorithm);
+  }
+}
+
+TEST(PlannerTest, HolisticJoinsPruneOrderInTheMerge) {
+  auto indexed = MustIndex(kBibXml);
+  for (Algorithm algorithm : {Algorithm::kTwigStack, Algorithm::kTJFast}) {
+    plan::PlannerHints hints;
+    hints.algorithm = algorithm;
+    auto plan = plan::Planner(indexed).Plan(
+        Q("//article[ordered][author][title]"), hints);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kOrderFilter), 0)
+        << AlgorithmName(algorithm);
+    const int merge = plan->FindOperator(plan::OperatorKind::kMergeExpand);
+    ASSERT_GE(merge, 0);
+    EXPECT_EQ(plan->ops[static_cast<size_t>(merge)].detail,
+              "ordered merge; order pruning");
+  }
 }
 
 TEST(PlannerTest, UnorderedQueryHasNoOrderFilter) {
   auto indexed = MustIndex(kBibXml);
-  auto plan = plan::Planner(indexed).Plan(Q("//article[author]/title"));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kOrderFilter), 0);
-  EXPECT_FALSE(plan->integrate_order);
-}
-
-TEST(PlannerTest, ApplyOrderOffDropsTheFilter) {
-  auto indexed = MustIndex(kBibXml);
-  plan::PlannerHints hints;
-  hints.apply_order = false;
-  auto plan =
-      plan::Planner(indexed).Plan(Q("//article[ordered][author][title]"), hints);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kOrderFilter), 0);
-  EXPECT_FALSE(plan->integrate_order);
+  for (Algorithm algorithm : kAllAlgorithms) {
+    if (algorithm == Algorithm::kPathStack) continue;
+    plan::PlannerHints hints;
+    hints.algorithm = algorithm;
+    auto plan =
+        plan::Planner(indexed).Plan(Q("//article[author]/title"), hints);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kOrderFilter), 0)
+        << AlgorithmName(algorithm);
+  }
 }
 
 TEST(PlannerTest, EveryPlanEndsInOutputSort) {
@@ -374,27 +394,20 @@ TEST_P(PlanEquivalenceTest, AllPlansReturnTheOracleMatchSet) {
       TwigQuery query = Q(text);
       if (GetParam() == Algorithm::kPathStack && !query.IsPath()) continue;
       std::vector<Match> expected = BruteForceMatches(indexed, query);
-      // Sweep the hint flags that change the plan's shape but must never
-      // change its answers.
+      // Schema pruning changes the plan's shape but must never change its
+      // answers.
       for (bool prune : {false, true}) {
-        for (bool reorder : {false, true}) {
-          for (bool integrate : {false, true}) {
-            plan::PlannerHints hints;
-            hints.algorithm = GetParam();
-            hints.schema_prune_streams = prune;
-            hints.reorder_binary_joins = reorder;
-            hints.integrate_order = integrate;
-            auto plan = plan::Planner(indexed).Plan(query, hints);
-            ASSERT_TRUE(plan.ok()) << text;
-            auto result = plan::ExecutePlan(indexed, &*plan);
-            ASSERT_TRUE(result.ok())
-                << text << ": " << result.status().ToString();
-            EXPECT_EQ(result->matches, expected)
-                << "query=" << text << " algorithm=" << AlgorithmName(GetParam())
-                << " prune=" << prune << " reorder=" << reorder
-                << " integrate=" << integrate;
-          }
-        }
+        plan::PlannerHints hints;
+        hints.algorithm = GetParam();
+        hints.schema_prune_streams = prune;
+        auto plan = plan::Planner(indexed).Plan(query, hints);
+        ASSERT_TRUE(plan.ok()) << text;
+        auto result = plan::ExecutePlan(indexed, &*plan);
+        ASSERT_TRUE(result.ok())
+            << text << ": " << result.status().ToString();
+        EXPECT_EQ(result->matches, expected)
+            << "query=" << text << " algorithm=" << AlgorithmName(GetParam())
+            << " prune=" << prune;
       }
     }
   }
@@ -414,7 +427,7 @@ TEST_P(PlanEquivalenceTest, PlanExecutionMatchesEvaluate) {
     auto via_evaluate = Evaluate(indexed, query, options);
     ASSERT_TRUE(via_evaluate.ok()) << text;
 
-    auto plan = plan::Planner(indexed).Plan(query, plan::HintsFrom(options));
+    auto plan = plan::Planner(indexed).Plan(query, plan::PlannerHints{options});
     ASSERT_TRUE(plan.ok()) << text;
     auto via_plan = plan::ExecutePlan(indexed, &*plan);
     ASSERT_TRUE(via_plan.ok()) << text;
@@ -430,8 +443,8 @@ TEST_P(PlanEquivalenceTest, PlanExecutionMatchesEvaluate) {
 TEST_P(PlanEquivalenceTest, CompressedMultiBlockCorpusMatchesOracle) {
   // A generated corpus large enough that every frequent tag stream spans
   // multiple posting blocks (>128 entries), so cursor seeks actually
-  // skip blocks: the sweep pins join x prune x reorder on the
-  // block-compressed index against the brute-force oracle.
+  // skip blocks: the sweep pins join x prune on the block-compressed
+  // index against the brute-force oracle.
   index::IndexedDocument indexed(
       datagen::GenerateDblpWithApproxNodes(41, 5000));
   ASSERT_GT(
@@ -446,21 +459,17 @@ TEST_P(PlanEquivalenceTest, CompressedMultiBlockCorpusMatchesOracle) {
     if (GetParam() == Algorithm::kPathStack && !query.IsPath()) continue;
     std::vector<Match> expected = BruteForceMatches(indexed, query);
     for (bool prune : {false, true}) {
-      for (bool reorder : {false, true}) {
-        plan::PlannerHints hints;
-        hints.algorithm = GetParam();
-        hints.schema_prune_streams = prune;
-        hints.reorder_binary_joins = reorder;
-        auto plan = plan::Planner(indexed).Plan(query, hints);
-        ASSERT_TRUE(plan.ok()) << text;
-        auto result = plan::ExecutePlan(indexed, &*plan);
-        ASSERT_TRUE(result.ok()) << text << ": "
-                                 << result.status().ToString();
-        EXPECT_EQ(result->matches, expected)
-            << "query=" << text
-            << " algorithm=" << AlgorithmName(GetParam())
-            << " prune=" << prune << " reorder=" << reorder;
-      }
+      plan::PlannerHints hints;
+      hints.algorithm = GetParam();
+      hints.schema_prune_streams = prune;
+      auto plan = plan::Planner(indexed).Plan(query, hints);
+      ASSERT_TRUE(plan.ok()) << text;
+      auto result = plan::ExecutePlan(indexed, &*plan);
+      ASSERT_TRUE(result.ok()) << text << ": "
+                               << result.status().ToString();
+      EXPECT_EQ(result->matches, expected)
+          << "query=" << text << " algorithm=" << AlgorithmName(GetParam())
+          << " prune=" << prune;
     }
   }
 }
@@ -469,11 +478,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, PlanEquivalenceTest,
     ::testing::Values(Algorithm::kAuto, Algorithm::kStructuralJoin,
                       Algorithm::kPathStack, Algorithm::kTwigStack,
-                      Algorithm::kTJFast),
+                      Algorithm::kTJFast, Algorithm::kStructuralJoinReordered),
     [](const ::testing::TestParamInfo<Algorithm>& info) {
-      std::string name(AlgorithmName(info.param));
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+      return lotusx::testing::ParamName(info.param);
     });
 
 // ------------------------------------------------------------ EXPLAIN
@@ -501,12 +508,24 @@ TEST(ExplainPlanTest, TwigQueryRendersTheOperatorTree) {
 }
 
 TEST(ExplainPlanTest, OrderSensitiveQueryShowsTheOrderFilter) {
+  // The binary join's plan filters order; a holistic plan prunes it in
+  // its merge and has no filter.
   auto indexed = MustIndex(kBibXml);
-  auto text =
-      plan::ExplainQuery(indexed, Q("//article[ordered][author][title]"));
+  EvalOptions binary;
+  binary.algorithm = Algorithm::kStructuralJoin;
+  auto text = plan::ExplainQuery(
+      indexed, Q("//article[ordered][author][title]"), binary);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("order-filter"), std::string::npos) << *text;
   EXPECT_NE(text->find("actual rows="), std::string::npos) << *text;
+
+  EvalOptions holistic;
+  holistic.algorithm = Algorithm::kTwigStack;
+  text = plan::ExplainQuery(indexed, Q("//article[ordered][author][title]"),
+                            holistic);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(text->find("order-filter"), std::string::npos) << *text;
+  EXPECT_NE(text->find("order pruning"), std::string::npos) << *text;
 }
 
 TEST(ExplainPlanTest, DescribeWithoutActualsOmitsThem) {
@@ -526,9 +545,6 @@ TEST(ExplainTest, RejectsInvalidQuery) {
 
 // ------------------------------------------------- schema-empty plans
 
-const Algorithm kAllAlgorithms[] = {Algorithm::kAuto, Algorithm::kStructuralJoin,
-                                    Algorithm::kPathStack,
-                                    Algorithm::kTwigStack, Algorithm::kTJFast};
 
 bool HasUnboundNode(const index::IndexedDocument& indexed,
                     const TwigQuery& query) {
@@ -756,11 +772,13 @@ TEST(SchemaEmptyPlanTest, RandomMistakenTwigsMatchTheOracle) {
 
 /// The stats.algorithm string of `algorithm`'s own join on `query`.
 std::string JoinReportedName(const index::IndexedDocument& indexed,
-                             const TwigQuery& query, Algorithm algorithm,
-                             bool reorder) {
+                             const TwigQuery& query, Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kStructuralJoin:
-      return StructuralJoinEvaluate(indexed, query, nullptr, reorder)
+    case Algorithm::kStructuralJoinReordered:
+      return StructuralJoinEvaluate(
+                 indexed, query, nullptr,
+                 algorithm == Algorithm::kStructuralJoinReordered)
           .stats.algorithm;
     case Algorithm::kPathStack:
       return PathStackEvaluate(indexed, query)->stats.algorithm;
@@ -769,9 +787,8 @@ std::string JoinReportedName(const index::IndexedDocument& indexed,
     case Algorithm::kTJFast:
       return TjFastEvaluate(indexed, query).stats.algorithm;
     case Algorithm::kAuto:
-      return JoinReportedName(
-          indexed, query, plan::Planner(indexed).Plan(query)->algorithm,
-          reorder);
+      return JoinReportedName(indexed, query,
+                              plan::Planner(indexed).Plan(query)->algorithm);
   }
   return "";
 }
@@ -784,18 +801,14 @@ TEST(SchemaEmptyPlanTest, StatsNameTheJoinThePlanResolved) {
     ASSERT_TRUE(HasUnboundNode(indexed, query)) << text;
     for (Algorithm algorithm : kAllAlgorithms) {
       if (algorithm == Algorithm::kPathStack && !query.IsPath()) continue;
-      for (bool reorder : {false, true}) {
-        EvalOptions options;
-        options.algorithm = algorithm;
-        options.reorder_binary_joins = reorder;
-        auto result = Evaluate(indexed, query, options);
-        ASSERT_TRUE(result.ok()) << text;
-        EXPECT_TRUE(result->matches.empty()) << text;
-        EXPECT_EQ(result->stats.algorithm,
-                  JoinReportedName(indexed, query, algorithm, reorder))
-            << text << " " << AlgorithmName(algorithm)
-            << " reorder=" << reorder;
-      }
+      EvalOptions options;
+      options.algorithm = algorithm;
+      auto result = Evaluate(indexed, query, options);
+      ASSERT_TRUE(result.ok()) << text;
+      EXPECT_TRUE(result->matches.empty()) << text;
+      EXPECT_EQ(result->stats.algorithm,
+                JoinReportedName(indexed, query, algorithm))
+          << text << " " << AlgorithmName(algorithm);
     }
   }
 }

@@ -80,26 +80,31 @@ TEST(ProfilerTest, WallProfileSamplesRegisteredThreads) {
   // A registered thread blocked in sleep is invisible to CPU mode but
   // is exactly what wall mode exists to show.
   std::atomic<bool> stop{false};
-  std::thread sleeper([&stop] {
+  std::atomic<bool> registered{false};
+  std::thread sleeper([&stop, &registered] {
     ScopedThreadRegistration registration("sleeper");
+    registered.store(true);
     while (!stop.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  // Give the sleeper a beat to register.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Profile only once the sleeper's registration exists.
+  while (!registered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   StatusOr<ProfileResult> profile = Collect(Mode::kWall, /*duration_ms=*/200);
   stop.store(true);
   sleeper.join();
 
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
-  EXPECT_GT(profile->samples, 0u);
   const std::string collapsed = RenderCollapsed(*profile);
+  SCOPED_TRACE("samples=" + std::to_string(profile->samples) +
+               ", collapsed stacks:\n" + collapsed);
+  EXPECT_GT(profile->samples, 0u);
   ExpectFlamegraphFormat(collapsed);
   EXPECT_NE(collapsed.find("sleeper"), std::string::npos)
-      << "registered thread name must prefix its stacks:\n"
-      << collapsed;
+      << "registered thread name must prefix its stacks";
 }
 
 TEST(ProfilerTest, WallModeWithoutRegisteredThreadsFailsCleanly) {

@@ -200,8 +200,7 @@ TEST_P(RandomizedSweep, AllAlgorithmsMatchOracle) {
     // Neither may selectivity-based join reordering.
     {
       twig::EvalOptions options;
-      options.algorithm = twig::Algorithm::kStructuralJoin;
-      options.reorder_binary_joins = true;
+      options.algorithm = twig::Algorithm::kStructuralJoinReordered;
       auto result = twig::Evaluate(indexed, query, options);
       ASSERT_TRUE(result.ok());
       ASSERT_EQ(result->matches, expected)

@@ -237,12 +237,6 @@ TEST(SearchCacheKeyTest, EveryOptionFieldChangesTheKey) {
            [](SearchOptions& o) {
              o.eval.algorithm = twig::Algorithm::kTwigStack;
            }},
-          {"eval.apply_order",
-           [](SearchOptions& o) { o.eval.apply_order = false; }},
-          {"eval.integrate_order",
-           [](SearchOptions& o) { o.eval.integrate_order = false; }},
-          {"eval.reorder_binary_joins",
-           [](SearchOptions& o) { o.eval.reorder_binary_joins = true; }},
           {"eval.schema_prune_streams",
            [](SearchOptions& o) { o.eval.schema_prune_streams = true; }},
           {"rewrite_on_empty",

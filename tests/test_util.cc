@@ -1,6 +1,7 @@
 #include "tests/test_util.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "common/logging.h"
 #include "twig/candidates.h"
@@ -71,6 +72,22 @@ std::vector<twig::Match> BruteForceMatches(
   }
   std::sort(matches.begin(), matches.end());
   return matches;
+}
+
+std::string ParamName(twig::Algorithm algorithm) {
+  std::string name(twig::AlgorithmName(algorithm));
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+twig::TwigQuery WithoutOrder(const twig::TwigQuery& query) {
+  twig::TwigQuery unordered = query;
+  for (twig::QueryNodeId q = 0; q < unordered.size(); ++q) {
+    unordered.SetOrdered(q, false);
+  }
+  return unordered;
 }
 
 }  // namespace lotusx::testing

@@ -10,12 +10,15 @@
 #include "tests/test_util.h"
 #include "twig/candidates.h"
 #include "twig/evaluator.h"
+#include "twig/order_filter.h"
+#include "twig/plan/physical_plan.h"
 #include "twig/query_parser.h"
 
 namespace lotusx::twig {
 namespace {
 
 using lotusx::testing::BruteForceMatches;
+using lotusx::testing::kAllAlgorithms;
 using lotusx::testing::MustIndex;
 
 constexpr std::string_view kBibXml = R"(<dblp>
@@ -177,11 +180,10 @@ TEST_P(AlgorithmTest, GeneratedXmarkCorpus) {
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AlgorithmTest,
     ::testing::Values(Algorithm::kStructuralJoin, Algorithm::kPathStack,
-                      Algorithm::kTwigStack, Algorithm::kTJFast),
+                      Algorithm::kTwigStack, Algorithm::kTJFast,
+                      Algorithm::kStructuralJoinReordered),
     [](const ::testing::TestParamInfo<Algorithm>& info) {
-      std::string name(AlgorithmName(info.param));
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+      return lotusx::testing::ParamName(info.param);
     });
 
 // ------------------------------------- differential tests on long streams
@@ -375,8 +377,8 @@ const index::IndexedDocument& LongXmark() {
   return indexed;
 }
 
-/// TJFast's matches equal the structural join's, with integrated order
-/// pruning on and off and with and without schema-pruned streams.
+/// TJFast's matches equal the structural join's, with and without
+/// schema-pruned streams.
 void ExpectTjFastAgrees(const index::IndexedDocument& indexed,
                         const TwigQuery& query) {
   SCOPED_TRACE(query.ToString());
@@ -385,17 +387,11 @@ void ExpectTjFastAgrees(const index::IndexedDocument& indexed,
   auto expected = Evaluate(indexed, query, options);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   options.algorithm = Algorithm::kTJFast;
-  for (bool integrate : {false, true}) {
-    // Integrated pruning only acts on order constraints.
-    if (integrate && !query.HasOrderConstraints()) continue;
-    for (bool prune : {false, true}) {
-      options.integrate_order = integrate;
-      options.schema_prune_streams = prune;
-      auto got = Evaluate(indexed, query, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->matches, expected->matches)
-          << "integrate_order=" << integrate << " schema_prune=" << prune;
-    }
+  for (bool prune : {false, true}) {
+    options.schema_prune_streams = prune;
+    auto got = Evaluate(indexed, query, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->matches, expected->matches) << "schema_prune=" << prune;
   }
 }
 
@@ -685,6 +681,97 @@ TEST(TjFastSkipTest, SelectiveBranchBoundsPathSolutions) {
             2 * twigstack.stats.intermediate_tuples);
 }
 
+// ---------------------------------------- order: in the merge vs after
+//
+// Each join checks order one way: the holistic joins prune partial
+// tuples inside their path merge, the binary joins filter complete
+// matches. Under every algorithm an ordered twig's answer must equal its
+// unordered twig's answer passed through FilterByOrder (the post-filter
+// E4 prices), and the oracle's. Pruning in the merge can only drop
+// tuples: a holistic join never materializes more than its unordered
+// run, and a binary join materializes exactly as many.
+
+/// Checks ordered `query` under every algorithm but PathStack (a path has
+/// no order constraint). Returns the number of holistic evaluations that
+/// materialized strictly fewer tuples than the post-filtered run.
+int ExpectOrderedEqualsFilteredUnordered(
+    const index::IndexedDocument& indexed, const TwigQuery& query) {
+  SCOPED_TRACE(query.ToString());
+  EXPECT_TRUE(query.HasOrderConstraints());
+  const std::vector<Match> oracle = BruteForceMatches(indexed, query);
+  const TwigQuery unordered = lotusx::testing::WithoutOrder(query);
+  int pruned = 0;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    if (algorithm == Algorithm::kPathStack) continue;
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    const QueryResult integrated = MustEvaluate(indexed, query, algorithm);
+    QueryResult filtered = MustEvaluate(indexed, unordered, algorithm);
+    FilterByOrder(indexed.document(), query, &filtered.matches);
+    EXPECT_EQ(integrated.matches, filtered.matches);
+    EXPECT_EQ(integrated.matches, oracle);
+    EXPECT_EQ(integrated.stats.algorithm, filtered.stats.algorithm);
+    if (plan::IsBinaryStructuralJoin(algorithm)) {
+      EXPECT_EQ(integrated.stats.intermediate_tuples,
+                filtered.stats.intermediate_tuples);
+    } else {
+      EXPECT_LE(integrated.stats.intermediate_tuples,
+                filtered.stats.intermediate_tuples);
+      if (integrated.stats.intermediate_tuples <
+          filtered.stats.intermediate_tuples) {
+        ++pruned;
+      }
+    }
+  }
+  return pruned;
+}
+
+TEST(OrderDifferentialTest, StoreWorkloadsUnderEveryAlgorithm) {
+  // E4's workloads (bench_order_sensitive) on a small store corpus.
+  datagen::StoreOptions options;
+  options.num_products = 120;
+  index::IndexedDocument indexed(datagen::GenerateStore(options));
+  int pruned = 0;
+  for (std::string_view text :
+       {"//product[ordered][name][price]",
+        "//product[ordered][name][brand][price]",
+        "//product[ordered][price][name]",
+        "//product[ordered][review/rating][review/comment]",
+        "//category[ordered][name][product]"}) {
+    pruned += ExpectOrderedEqualsFilteredUnordered(indexed, Q(text));
+  }
+  // The never-true constraint price<name prunes every tuple of its last
+  // join step under both holistic joins (and under kAuto).
+  EXPECT_GE(pruned, 3);
+}
+
+TEST(OrderDifferentialTest, RandomOrderedTwigsUnderEveryAlgorithm) {
+  const index::IndexedDocument corpora[] = {
+      index::IndexedDocument(datagen::GenerateDblpWithApproxNodes(5, 2000)),
+      index::IndexedDocument(
+          datagen::GenerateTreebankWithApproxNodes(5, 2000)),
+      index::IndexedDocument(datagen::GenerateXmarkWithApproxNodes(5, 2000)),
+  };
+  for (const index::IndexedDocument& indexed : corpora) {
+    Random random(29);
+    int evaluated = 0;
+    int pruned = 0;
+    for (int i = 0; i < 40; ++i) {
+      TwigQuery query = RandomSkipTwig(indexed, random);
+      if (query.IsPath() || SubTwigEmbeddings(indexed, query) > 1e4) {
+        continue;
+      }
+      // Every branching node ordered, so each twig constrains order.
+      for (QueryNodeId q = 0; q < query.size(); ++q) {
+        if (query.node(q).children.size() >= 2) query.SetOrdered(q, true);
+      }
+      ++evaluated;
+      pruned += ExpectOrderedEqualsFilteredUnordered(indexed, query);
+    }
+    EXPECT_GE(evaluated, 20);
+    EXPECT_GT(pruned, 0);
+  }
+}
+
 // ------------------------------------------------- evaluator-level tests
 
 TEST(EvaluatorTest, AutoPicksPathStackForPaths) {
@@ -731,21 +818,6 @@ TEST(EvaluatorTest, InvalidQueryRejected) {
   auto indexed = MustIndex(kBibXml);
   TwigQuery query;  // empty
   EXPECT_FALSE(Evaluate(indexed, query).ok());
-}
-
-TEST(EvaluatorTest, OrderFilterCanBeDisabled) {
-  auto indexed = MustIndex(kBibXml);
-  TwigQuery ordered = Q("//article[ordered][title][author]");
-  EvalOptions with;
-  with.apply_order = true;
-  EvalOptions without;
-  without.apply_order = false;
-  auto filtered = Evaluate(indexed, ordered, with);
-  auto unfiltered = Evaluate(indexed, ordered, without);
-  ASSERT_TRUE(filtered.ok());
-  ASSERT_TRUE(unfiltered.ok());
-  EXPECT_LT(filtered->matches.size(), unfiltered->matches.size());
-  EXPECT_TRUE(filtered->matches.empty());  // title never precedes author
 }
 
 TEST(EvaluatorTest, OutputNodesProjectsAndDeduplicates) {

@@ -171,15 +171,13 @@ TEST(PathMergeTest, OrderPruningDropsViolatingPartials) {
   std::vector<std::vector<std::vector<NodeId>>> solutions = {{{a, c}},
                                                              {{a, b}}};
   uint64_t tuples = 0;
-  MergeOptions options;
-  options.prune_order = true;
-  options.document = &document;
   EXPECT_TRUE(
       MergePathSolutions(query, paths, Tables(paths, solutions), &tuples,
-                         options)
+                         &document)
           .empty());
-  // Without pruning the (invalid) tuple survives the merge.
-  EXPECT_EQ(MergePathSolutions(query, paths, Tables(paths, solutions), &tuples)
+  // Under the unordered query the same tuple survives the merge.
+  EXPECT_EQ(MergePathSolutions(Q("//a[c][b]"), paths,
+                               Tables(paths, solutions), &tuples, &document)
                 .size(),
             1u);
 }
@@ -206,7 +204,8 @@ TEST(PathMergeTest, OutOfOrderTablesAreSortedBeforeTheJoin) {
 // ----------------------------------------- PathMerge differential oracle
 
 // The sort-based equi-join the ordered merge replaced, copied unchanged
-// (bar names) from the merge as it was, as the oracle: sort the
+// (bar names and the order-pruning switch, which follows the merge's
+// parameters) from the merge as it was, as the oracle: sort the
 // accumulated tuples on the shared key, binary-search each path row's
 // key, prune, repeat; finally sort and dedup the complete tuples.
 void OraclePruneByPartialOrder(const TwigQuery& query,
@@ -245,9 +244,8 @@ std::vector<Match> SortMergeOracle(
     const TwigQuery& query,
     const std::vector<std::vector<QueryNodeId>>& paths,
     const std::vector<SolutionTable>& solutions, uint64_t* join_tuples,
-    const MergeOptions& options) {
-  bool prune = options.prune_order && options.document != nullptr &&
-               query.HasOrderConstraints();
+    const xml::Document* document) {
+  bool prune = document != nullptr && query.HasOrderConstraints();
   if (paths.empty()) return {};
 
   std::vector<bool> bound(static_cast<size_t>(query.size()), false);
@@ -265,7 +263,7 @@ std::vector<Match> SortMergeOracle(
     }
   }
   for (QueryNodeId q : paths[0]) bound[static_cast<size_t>(q)] = true;
-  if (prune) OraclePruneByPartialOrder(query, *options.document, &table);
+  if (prune) OraclePruneByPartialOrder(query, *document, &table);
   if (join_tuples != nullptr) *join_tuples += table.num_rows();
 
   for (size_t p = 1; p < paths.size() && table.num_rows() != 0; ++p) {
@@ -331,7 +329,7 @@ std::vector<Match> SortMergeOracle(
     }
     table = std::move(next);
     for (QueryNodeId q : path) bound[static_cast<size_t>(q)] = true;
-    if (prune) OraclePruneByPartialOrder(query, *options.document, &table);
+    if (prune) OraclePruneByPartialOrder(query, *document, &table);
     if (join_tuples != nullptr) *join_tuples += table.num_rows();
   }
 
@@ -470,18 +468,18 @@ TEST(PathMergeDifferentialTest, MatchesTheSortBasedMerge) {
       tables.push_back(RandomTable(&rng, path.size(), document.num_nodes()));
     }
     (preorder ? canonical_queries : nonpreorder_queries)++;
-    for (bool prune_order : {false, true}) {
-      MergeOptions options;
-      options.prune_order = prune_order;
-      options.document = &document;
+    // The random query (its ordered nodes pruned in the merge) and the
+    // same shape with every order flag cleared.
+    for (const TwigQuery& variant :
+         {query, lotusx::testing::WithoutOrder(query)}) {
       uint64_t expected_tuples = 0;
       uint64_t tuples = 0;
-      std::vector<Match> expected =
-          SortMergeOracle(query, paths, tables, &expected_tuples, options);
+      std::vector<Match> expected = SortMergeOracle(
+          variant, paths, tables, &expected_tuples, &document);
       std::vector<Match> merged =
-          MergePathSolutions(query, paths, tables, &tuples, options);
-      ASSERT_EQ(merged, expected) << "prune_order " << prune_order;
-      ASSERT_EQ(tuples, expected_tuples) << "prune_order " << prune_order;
+          MergePathSolutions(variant, paths, tables, &tuples, &document);
+      ASSERT_EQ(merged, expected) << variant.ToString();
+      ASSERT_EQ(tuples, expected_tuples) << variant.ToString();
     }
   }
   EXPECT_GT(canonical_queries, 0);
