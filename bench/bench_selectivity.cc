@@ -91,11 +91,13 @@ void RunPicker(const Suite& suite, Table* table, double* regret_sum,
     // regret compares plans, not two timings of the same join.
     CHECK(ms_of.count(chosen) == 1) << twig::AlgorithmName(chosen);
     double chosen_ms = ms_of[chosen];
-    // Floor the denominator: ratios over ~0 ms baselines (empty-result
-    // early exits) are noise, not plan-quality signal.
-    double floor_ms = std::max(best, 0.05);
-    double regret = chosen_ms / floor_ms;
-    double worst_ratio = worst / floor_ms;
+    // Floor both sides of each ratio: times under 0.05 ms (empty-result
+    // early exits) are noise, not plan-quality signal, so a row whose
+    // chosen join runs under the floor reads regret 1.00.
+    constexpr double kFloorMs = 0.05;
+    const double floor_best = std::max(best, kFloorMs);
+    double regret = std::max(chosen_ms, kFloorMs) / floor_best;
+    double worst_ratio = std::max(worst, kFloorMs) / floor_best;
     *regret_sum += regret;
     *worst_sum += worst_ratio;
     ++*count;

@@ -265,13 +265,6 @@ inline twig::EvalOptions EvalWith(twig::Algorithm algorithm) {
   return options;
 }
 
-/// EvalOptions for the E10 schema-pruning ablation.
-inline twig::EvalOptions PruneEval(bool schema_prune_streams) {
-  twig::EvalOptions options;
-  options.schema_prune_streams = schema_prune_streams;
-  return options;
-}
-
 /// One timed evaluation: median milliseconds plus the last run's result.
 struct TimedEval {
   double ms = 0;

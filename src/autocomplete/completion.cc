@@ -1,7 +1,6 @@
 #include "autocomplete/completion.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -99,25 +98,12 @@ StatusOr<std::vector<Candidate>> CompletionEngine::CompleteTag(
 
   std::vector<std::vector<PathId>> bindings =
       twig::SchemaBindings(indexed_, query);
-  const std::vector<PathId>& anchor_paths =
-      bindings[static_cast<size_t>(request.anchor)];
   // Aggregate candidate tags over all positions the anchor can take.
-  // Counts from nested anchor positions (recursive tags) may overlap;
-  // the sum is a ranking weight, not an exact cardinality.
-  std::map<xml::TagId, uint64_t> weights;
-  for (PathId p : anchor_paths) {
-    if (request.axis == Axis::kChild) {
-      for (xml::TagId tag : guide.ChildTags(p)) {
-        weights[tag] += guide.ChildTagCount(p, tag);
-      }
-    } else {
-      for (xml::TagId tag : guide.DescendantTags(p)) {
-        weights[tag] += guide.DescendantTagCount(p, tag);
-      }
-    }
-  }
   std::vector<Candidate> candidates;
-  for (const auto& [tag, weight] : weights) {
+  for (const auto& [tag, weight] :
+       twig::TagsBelow(guide,
+                       bindings[static_cast<size_t>(request.anchor)],
+                       request.axis)) {
     std::string name(document.tag_name(tag));
     // Case-sensitive on purpose — see the class comment in completion.h.
     if (!StartsWith(name, request.prefix)) continue;

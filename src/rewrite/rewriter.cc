@@ -29,21 +29,21 @@ constexpr double kDropLeafPenalty = 2.0;
 
 /// Rebuilds `query` without the subtree rooted at `removed`, returning
 /// the remapping old id -> new id (kInvalidQueryNode for removed nodes).
-/// Output marks inside the removed subtree are dropped (the result is
-/// only used for schema-level context, where the output is irrelevant).
+/// Every kept node keeps its predicate and its order and output marks.
 std::pair<TwigQuery, std::vector<QueryNodeId>> RemoveSubtree(
     const TwigQuery& query, QueryNodeId removed) {
   TwigQuery rebuilt;
   std::vector<QueryNodeId> remap(static_cast<size_t>(query.size()),
                                  twig::kInvalidQueryNode);
   for (QueryNodeId q = 0; q < query.size(); ++q) {
-    // Inside the removed subtree? (walk up; queries are tiny)
-    QueryNodeId walk = q;
-    while (walk != twig::kInvalidQueryNode && walk != removed) {
-      walk = query.node(walk).parent;
-    }
-    if (walk == removed) continue;
     const twig::QueryNode& node = query.node(q);
+    // A parent precedes its children, so a removed parent is already
+    // unmapped.
+    if (q == removed || (q != query.root() &&
+                         remap[static_cast<size_t>(node.parent)] ==
+                             twig::kInvalidQueryNode)) {
+      continue;
+    }
     QueryNodeId id =
         q == query.root()
             ? rebuilt.AddRoot(node.tag, query.root_axis())
@@ -52,6 +52,7 @@ std::pair<TwigQuery, std::vector<QueryNodeId>> RemoveSubtree(
     remap[static_cast<size_t>(q)] = id;
     if (node.predicate.active()) rebuilt.SetPredicate(id, node.predicate);
     if (node.ordered) rebuilt.SetOrdered(id, true);
+    if (node.is_output) rebuilt.SetOutput(id);
   }
   return {std::move(rebuilt), std::move(remap)};
 }
@@ -63,23 +64,7 @@ twig::TwigQuery Rewriter::RemoveLeaf(const TwigQuery& query,
   CHECK(query.node(leaf).children.empty()) << "not a leaf";
   CHECK_NE(leaf, query.root()) << "cannot remove the root";
   CHECK_NE(leaf, query.output()) << "cannot remove the output node";
-  TwigQuery rebuilt;
-  std::vector<QueryNodeId> remap(static_cast<size_t>(query.size()),
-                                 twig::kInvalidQueryNode);
-  for (QueryNodeId q = 0; q < query.size(); ++q) {
-    if (q == leaf) continue;
-    const twig::QueryNode& node = query.node(q);
-    QueryNodeId id =
-        q == query.root()
-            ? rebuilt.AddRoot(node.tag, query.root_axis())
-            : rebuilt.AddChild(remap[static_cast<size_t>(node.parent)],
-                               node.incoming_axis, node.tag);
-    remap[static_cast<size_t>(q)] = id;
-    if (node.predicate.active()) rebuilt.SetPredicate(id, node.predicate);
-    if (node.ordered) rebuilt.SetOrdered(id, true);
-    if (node.is_output) rebuilt.SetOutput(id);
-  }
-  return rebuilt;
+  return RemoveSubtree(query, leaf).first;
 }
 
 std::vector<RewriteCandidate> Rewriter::Propose(
@@ -134,35 +119,24 @@ std::vector<RewriteCandidate> Rewriter::Propose(
       // context is empty, so fall back to the wrong tag's DataGuide
       // siblings.
       xml::TagId tag_id = document.FindTag(tag);
-      std::map<xml::TagId, uint64_t> alternatives;
       const index::DataGuide& guide = indexed_.dataguide();
+      std::vector<index::PathId> positions;
+      Axis axis = Axis::kChild;
       if (q != query.root()) {
         auto [context, remap] = RemoveSubtree(query, q);
-        std::vector<std::vector<index::PathId>> bindings =
-            twig::SchemaBindings(indexed_, context);
         QueryNodeId parent =
             remap[static_cast<size_t>(query.node(q).parent)];
-        Axis axis = query.node(q).incoming_axis;
-        for (index::PathId p : bindings[static_cast<size_t>(parent)]) {
-          if (axis == Axis::kChild) {
-            for (xml::TagId s : guide.ChildTags(p)) {
-              alternatives[s] += guide.ChildTagCount(p, s);
-            }
-          } else {
-            for (xml::TagId s : guide.DescendantTags(p)) {
-              alternatives[s] += guide.DescendantTagCount(p, s);
-            }
-          }
-        }
+        positions = std::move(twig::SchemaBindings(
+            indexed_, context)[static_cast<size_t>(parent)]);
+        axis = query.node(q).incoming_axis;
       } else {
         for (index::PathId p : guide.PathsWithTag(tag_id)) {
           index::PathId parent = guide.node(p).parent;
-          if (parent == index::kInvalidPathId) continue;
-          for (xml::TagId s : guide.ChildTags(parent)) {
-            alternatives[s] += guide.ChildTagCount(parent, s);
-          }
+          if (parent != index::kInvalidPathId) positions.push_back(parent);
         }
       }
+      std::map<xml::TagId, uint64_t> alternatives =
+          twig::TagsBelow(guide, positions, axis);
       alternatives.erase(tag_id);
       // Frequent-at-position tags first; crossing the element/attribute
       // kind boundary is a less likely intent.

@@ -59,16 +59,18 @@ void CountFailedSearch() {
 // whether it can change a SearchResult (answers, ranking, rewrite chain,
 // or the recorded EvalStats), include it in SearchCacheKey below if so,
 // extend the pinning test in query_cache_test.cc, and update the pinned
-// size. Sizes assume the LP64 Itanium ABI every supported target uses.
-static_assert(sizeof(twig::EvalOptions) == 8,
+// size. Sizes assume the LP64 Itanium ABI every supported target uses,
+// where `eval` and `rewrite_on_empty` each pad to the 8-byte alignment of
+// the struct that follows them.
+static_assert(sizeof(twig::EvalOptions) == 4,
               "EvalOptions grew: audit SearchCacheKey");
 static_assert(sizeof(ranking::RankingOptions) == 32,
               "RankingOptions grew: audit SearchCacheKey");
 static_assert(sizeof(rewrite::RewriteOptions) == 32,
               "RewriteOptions grew: audit SearchCacheKey");
 static_assert(sizeof(SearchOptions) ==
-                  sizeof(twig::EvalOptions) + sizeof(ranking::RankingOptions) +
-                      sizeof(rewrite::RewriteOptions) + 8,
+                  8 + sizeof(ranking::RankingOptions) + 8 +
+                      sizeof(rewrite::RewriteOptions),
               "SearchOptions grew: audit SearchCacheKey");
 
 std::string SearchCacheKey(const twig::TwigQuery& query,
@@ -76,9 +78,6 @@ std::string SearchCacheKey(const twig::TwigQuery& query,
   std::string key = query.ToString();
   key += '|';
   key += std::to_string(static_cast<int>(options.eval.algorithm));
-  // Schema pruning changes the EvalStats recorded in the cached
-  // SearchResult, not its answers.
-  key += options.eval.schema_prune_streams ? 's' : '-';
   key += options.rewrite_on_empty ? 'r' : '-';
   key += '|';
   key += DoubleKeyBits(options.ranking.content_weight) + ',' +

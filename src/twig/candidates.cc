@@ -20,14 +20,6 @@ std::string NodeValue(const xml::Document& document, xml::NodeId node) {
   return document.ContentString(node);
 }
 
-bool PathAllowed(const index::IndexedDocument& indexed,
-                 const std::vector<index::PathId>* allowed_paths,
-                 xml::NodeId id) {
-  if (allowed_paths == nullptr) return true;
-  return std::binary_search(allowed_paths->begin(), allowed_paths->end(),
-                            indexed.dataguide().PathOf(id));
-}
-
 /// K-way leapfrog equality intersection over block cursors: every
 /// emitted id is present in all lists. Galloping SeekGE lets selective
 /// token lists drag the tag stream forward block-skips at a time.
@@ -94,10 +86,9 @@ bool NodeSatisfies(const index::IndexedDocument& indexed,
   return false;
 }
 
-CandidateStream OpenCandidates(
-    const index::IndexedDocument& indexed, const TwigQuery& query,
-    QueryNodeId node, EvalContext* ctx,
-    const std::vector<index::PathId>* allowed_paths) {
+CandidateStream OpenCandidates(const index::IndexedDocument& indexed,
+                               const TwigQuery& query, QueryNodeId node,
+                               EvalContext* ctx) {
   const QueryNode& query_node = query.node(node);
   const xml::Document& document = indexed.document();
   Arena* arena = &ctx->arena;
@@ -109,8 +100,7 @@ CandidateStream OpenCandidates(
     ArenaVector<xml::NodeId> out(arena);
     xml::NodeId root = document.root();
     if (root != xml::kInvalidNodeId &&
-        NodeSatisfies(indexed, query, node, root) &&
-        PathAllowed(indexed, allowed_paths, root)) {
+        NodeSatisfies(indexed, query, node, root)) {
       out.push_back(root);
     }
     return CandidateStream::FromSpan(out.span());
@@ -137,7 +127,6 @@ CandidateStream OpenCandidates(
       if (wildcard) {
         for (xml::NodeId id = 0; id < document.num_nodes(); ++id) {
           if (document.node(id).kind == xml::NodeKind::kElement &&
-              PathAllowed(indexed, allowed_paths, id) &&
               NodeValue(document, id) == want) {
             out.push_back(id);
           }
@@ -147,10 +136,7 @@ CandidateStream OpenCandidates(
             blocks->NewCursor(arena, stats);
         for (; !cursor.AtEnd(); cursor.Next()) {
           auto id = static_cast<xml::NodeId>(cursor.Key());
-          if (PathAllowed(indexed, allowed_paths, id) &&
-              NodeValue(document, id) == want) {
-            out.push_back(id);
-          }
+          if (NodeValue(document, id) == want) out.push_back(id);
         }
       }
       return CandidateStream::FromSpan(out.span());
@@ -179,7 +165,6 @@ CandidateStream OpenCandidates(
           document.node(id).kind != xml::NodeKind::kElement) {
         return;
       }
-      if (!PathAllowed(indexed, allowed_paths, id)) return;
       if (verify_equals && NodeValue(document, id) != want) return;
       out.push_back(id);
     });
@@ -190,19 +175,9 @@ CandidateStream OpenCandidates(
   if (wildcard) {
     ArenaVector<xml::NodeId> out(arena);
     for (xml::NodeId id = 0; id < document.num_nodes(); ++id) {
-      if (document.node(id).kind == xml::NodeKind::kElement &&
-          PathAllowed(indexed, allowed_paths, id)) {
+      if (document.node(id).kind == xml::NodeKind::kElement) {
         out.push_back(id);
       }
-    }
-    return CandidateStream::FromSpan(out.span());
-  }
-  if (allowed_paths != nullptr) {
-    ArenaVector<xml::NodeId> out(arena);
-    index::PostingBlocks::Cursor cursor = blocks->NewCursor(arena, stats);
-    for (; !cursor.AtEnd(); cursor.Next()) {
-      auto id = static_cast<xml::NodeId>(cursor.Key());
-      if (PathAllowed(indexed, allowed_paths, id)) out.push_back(id);
     }
     return CandidateStream::FromSpan(out.span());
   }
@@ -211,12 +186,11 @@ CandidateStream OpenCandidates(
   return CandidateStream::FromBlocks(blocks, arena, stats);
 }
 
-std::vector<xml::NodeId> CandidatesFor(
-    const index::IndexedDocument& indexed, const TwigQuery& query,
-    QueryNodeId node, const std::vector<index::PathId>* allowed_paths) {
+std::vector<xml::NodeId> CandidatesFor(const index::IndexedDocument& indexed,
+                                       const TwigQuery& query,
+                                       QueryNodeId node) {
   EvalContext ctx;
-  CandidateStream stream =
-      OpenCandidates(indexed, query, node, &ctx, allowed_paths);
+  CandidateStream stream = OpenCandidates(indexed, query, node, &ctx);
   std::vector<xml::NodeId> out;
   out.reserve(stream.count());
   for (; !stream.AtEnd(); stream.Next()) out.push_back(stream.Key());

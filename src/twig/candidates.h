@@ -14,7 +14,7 @@ namespace lotusx::twig {
 /// whose tag matches (all elements for "*") and whose value satisfies the
 /// node's predicate.
 ///
-/// A plain tag node (no predicate, no pruning, no root anchoring) streams
+/// A plain tag node (no predicate, no root anchoring) streams
 /// lazily off the block-compressed tag stream — joins that seek past
 /// regions never pay their decode. Anything needing filtering is
 /// materialized into `ctx`'s arena first: equality predicates intersect
@@ -25,26 +25,17 @@ namespace lotusx::twig {
 /// matches only nodes whose content equals it verbatim (kEquals) or
 /// nothing (kContains).
 ///
-/// When `allowed_paths` is non-null (sorted ascending PathIds, typically
-/// the node's SchemaBindings), the stream is additionally restricted to
-/// nodes at those DataGuide paths — structural-summary stream pruning:
-/// elements that cannot participate in any embedding (wrong context)
-/// never reach the join at all. EvalOptions::schema_prune_streams turns
-/// this on engine-wide.
-///
 /// The stream borrows `ctx` (arena scratch, posting counters) and
 /// `indexed`; both must outlive it.
-CandidateStream OpenCandidates(
-    const index::IndexedDocument& indexed, const TwigQuery& query,
-    QueryNodeId node, EvalContext* ctx,
-    const std::vector<index::PathId>* allowed_paths = nullptr);
+CandidateStream OpenCandidates(const index::IndexedDocument& indexed,
+                               const TwigQuery& query, QueryNodeId node,
+                               EvalContext* ctx);
 
 /// Eager variant: materializes the full candidate list. Tests, EXPLAIN
 /// ANALYZE actuals, and other cold paths.
-std::vector<xml::NodeId> CandidatesFor(
-    const index::IndexedDocument& indexed, const TwigQuery& query,
-    QueryNodeId node,
-    const std::vector<index::PathId>* allowed_paths = nullptr);
+std::vector<xml::NodeId> CandidatesFor(const index::IndexedDocument& indexed,
+                                       const TwigQuery& query,
+                                       QueryNodeId node);
 
 /// True when document node `node` satisfies query node `q`'s tag and value
 /// predicate (used by rewriting and by tests as the oracle definition).

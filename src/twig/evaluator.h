@@ -24,18 +24,12 @@ enum class Algorithm {
 
 std::string_view AlgorithmName(Algorithm algorithm);
 
-/// Evaluation options: which join runs, and whether its streams are
-/// schema-pruned. Order constraints are always enforced: the holistic
-/// joins prune violating partial tuples inside their merge phase, and
-/// the binary structural join's plan post-filters complete matches.
+/// Evaluation options: which join runs. Order constraints are always
+/// enforced: the holistic joins prune violating partial tuples inside
+/// their merge phase, and the binary structural join's plan post-filters
+/// complete matches.
 struct EvalOptions {
   Algorithm algorithm = Algorithm::kAuto;
-  /// Prune every input stream to the positions the query can actually
-  /// bind (SchemaBindings over the DataGuide) before the join — the
-  /// structural-summary optimization the E10 ablation prices. Never
-  /// changes answers (schema matching is complete); off by default so
-  /// algorithm comparisons stay on the classic streams.
-  bool schema_prune_streams = false;
 };
 
 /// Front door of the twig engine — a thin shim over the cost-based query

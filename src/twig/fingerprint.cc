@@ -49,7 +49,7 @@ QueryFingerprint FingerprintQuery(const TwigQuery& query,
   // without revisiting this function would silently merge statement rows
   // that differ in the new option. Bump the size AND add the field to
   // the hash below.
-  static_assert(sizeof(EvalOptions) == 8,
+  static_assert(sizeof(EvalOptions) == 4,
                 "EvalOptions changed; include (or deliberately exclude) the "
                 "new field in FingerprintQuery and update the mutation-sweep "
                 "test in fingerprint_test.cc");
@@ -82,7 +82,6 @@ QueryFingerprint FingerprintQuery(const TwigQuery& query,
   // behavior, and aggregating them together would hide exactly the
   // regressions the store exists to show.
   h = HashValue(h, static_cast<uint64_t>(options.algorithm));
-  h = HashValue(h, static_cast<uint64_t>(options.schema_prune_streams));
   fp.value = Finalize(h);
   if (fp.value == 0) fp.value = 1;  // reserve 0 as "no fingerprint"
   return fp;

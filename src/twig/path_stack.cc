@@ -16,7 +16,6 @@ using internal_stack::Stack;
 
 StatusOr<QueryResult> PathStackEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings,
     EvalContext* ctx) {
   if (!query.IsPath()) {
     return Status::InvalidArgument(
@@ -33,11 +32,7 @@ StatusOr<QueryResult> PathStackEvaluate(
   streams.reserve(static_cast<size_t>(query.size()));
   std::vector<Stack> stacks(static_cast<size_t>(query.size()));
   for (QueryNodeId q = 0; q < query.size(); ++q) {
-    streams.push_back(OpenCandidates(
-        indexed, query, q, ctx,
-        schema_bindings == nullptr
-            ? nullptr
-            : &(*schema_bindings)[static_cast<size_t>(q)]));
+    streams.push_back(OpenCandidates(indexed, query, q, ctx));
   }
   // Every query node binds in every match: an empty stream means an
   // empty answer.

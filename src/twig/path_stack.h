@@ -19,7 +19,6 @@ namespace lotusx::twig {
 /// Requires query.IsPath(); returns InvalidArgument otherwise.
 StatusOr<QueryResult> PathStackEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     EvalContext* ctx = nullptr);
 
 }  // namespace lotusx::twig

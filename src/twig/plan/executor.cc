@@ -84,14 +84,6 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
                                   const ExecuteOptions& options,
                                   const Timer& total_timer, EvalContext* ctx) {
   const TwigQuery& query = plan->query;
-  // Schema pruning reads the DataGuide positions the planner's estimate
-  // already holds: a plan walks the DataGuide once.
-  const std::vector<std::vector<index::PathId>>& schema =
-      plan->estimate.node_schema_paths;
-  LOTUSX_DCHECK_EQ(schema.size(), static_cast<size_t>(query.size()))
-      << "plan estimate has no DataGuide positions";
-  const std::vector<std::vector<index::PathId>>* schema_ptr =
-      plan->schema_prune ? &schema : nullptr;
 
   QueryResult result;
   Timer join_timer;
@@ -99,19 +91,18 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
     case Algorithm::kStructuralJoin:
     case Algorithm::kStructuralJoinReordered:
       result = StructuralJoinEvaluate(
-          indexed, query, schema_ptr,
+          indexed, query,
           plan->algorithm == Algorithm::kStructuralJoinReordered, ctx);
       break;
     case Algorithm::kPathStack: {
-      LOTUSX_ASSIGN_OR_RETURN(
-          result, PathStackEvaluate(indexed, query, schema_ptr, ctx));
+      LOTUSX_ASSIGN_OR_RETURN(result, PathStackEvaluate(indexed, query, ctx));
       break;
     }
     case Algorithm::kTwigStack:
-      result = TwigStackEvaluate(indexed, query, schema_ptr, ctx);
+      result = TwigStackEvaluate(indexed, query, ctx);
       break;
     case Algorithm::kTJFast:
-      result = TjFastEvaluate(indexed, query, schema_ptr, ctx);
+      result = TjFastEvaluate(indexed, query, ctx);
       break;
     case Algorithm::kAuto:
       return Status::Internal("unresolved kAuto algorithm in plan");
@@ -157,19 +148,6 @@ StatusOr<QueryResult> ExecuteJoin(const index::IndexedDocument& indexed,
               CandidatesFor(indexed, query, op.query_node).size();
           op.has_actuals = true;
         }
-        break;
-      case OperatorKind::kSchemaPrune:
-        // The positions come with the plan; the filtering itself runs
-        // inside the join's stream opens.
-        if (options.analyze) {
-          op.actual_rows_in =
-              CandidatesFor(indexed, query, op.query_node).size();
-          op.actual_rows_out =
-              CandidatesFor(indexed, query, op.query_node,
-                            &schema[static_cast<size_t>(op.query_node)])
-                  .size();
-        }
-        op.has_actuals = true;
         break;
       case OperatorKind::kBinaryStructuralJoin:
       case OperatorKind::kPathStackJoin:

@@ -51,8 +51,6 @@ std::string DescribePlan(const PhysicalPlan& plan, bool include_actuals) {
   out << "query: " << plan.query.ToString() << "\n";
   out << "algorithm: " << AlgorithmName(plan.algorithm) << " ("
       << ChoiceReason(plan) << ")\n";
-  out << "hints: schema-prune=" << (plan.schema_prune ? "on" : "off")
-      << "\n";
   if (!plan.ops.empty()) {
     RenderOperator(plan, static_cast<int>(plan.ops.size()) - 1, 0,
                    include_actuals, &out);

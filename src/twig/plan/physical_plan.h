@@ -16,16 +16,14 @@
 namespace lotusx::twig::plan {
 
 /// The physical operators a plan can contain. A plan is a small tree:
-/// per-query-node stream scans (optionally wrapped by a schema prune) feed
-/// one join operator, whose output flows through merge/expand (holistic
-/// joins, which prune order violations there), an order filter (binary
-/// structural joins of ordered queries only), and the canonical output
-/// sort. A query with a node that has no DataGuide position plans as a
-/// single schema-empty operator instead (DESIGN.md "Schema-empty means
-/// empty").
+/// per-query-node stream scans feed one join operator, whose output flows
+/// through merge/expand (holistic joins, which prune order violations
+/// there), an order filter (binary structural joins of ordered queries
+/// only), and the canonical output sort. A query with a node that has no
+/// DataGuide position plans as a single schema-empty operator instead
+/// (DESIGN.md "Schema-empty means empty").
 enum class OperatorKind {
   kStreamScan,            // read one query node's candidate stream
-  kSchemaPrune,           // restrict a stream to DataGuide-feasible paths
   kBinaryStructuralJoin,  // edge-at-a-time stack-tree join (baseline)
   kPathStackJoin,         // holistic path join
   kTwigStackJoin,         // holistic twig join, phase 1 (path solutions)
@@ -47,7 +45,7 @@ struct OperatorNode {
   /// Operator-specific annotation ("<author> leaf stream", "greedy
   /// selectivity edge order", "ordered merge; order pruning", ...).
   std::string detail;
-  /// The query node a scan/prune operator serves, or the one a
+  /// The query node a scan operator serves, or the one a
   /// schema-empty operator names; kInvalidQueryNode for the operators
   /// above the leaves.
   QueryNodeId query_node = kInvalidQueryNode;
@@ -67,8 +65,8 @@ struct OperatorNode {
 };
 
 /// A priced physical plan for one twig query: the operator tree plus the
-/// planner's inputs (resolved algorithm, schema pruning, cardinality
-/// estimates) and, after ExecutePlan, the per-operator actuals.
+/// planner's inputs (resolved algorithm, cardinality estimates) and,
+/// after ExecutePlan, the per-operator actuals.
 struct PhysicalPlan {
   TwigQuery query;
   /// The resolved join algorithm (never kAuto).
@@ -76,8 +74,6 @@ struct PhysicalPlan {
   /// True when the caller's hint named the algorithm; otherwise kAuto
   /// resolved to the cheapest priced join (ChoiceReason).
   bool algorithm_forced = false;
-  /// Every stream is wrapped by a schema prune (the hint, baked in).
-  bool schema_prune = false;
   /// The cost model's input.
   SelectivityEstimate estimate;
   /// Operators in child-before-parent order; ops.back() is the root.
@@ -134,7 +130,7 @@ class Planner {
 };
 
 struct ExecuteOptions {
-  /// Also compute per-stream actual row counts for scan/prune operators
+  /// Also compute per-stream actual row counts for scan operators
   /// (costs one extra pass over the candidate streams; EXPLAIN uses it,
   /// the Evaluate() hot path does not).
   bool analyze = false;

@@ -11,8 +11,6 @@ std::string_view OperatorName(OperatorKind kind) {
   switch (kind) {
     case OperatorKind::kStreamScan:
       return "stream-scan";
-    case OperatorKind::kSchemaPrune:
-      return "schema-prune";
     case OperatorKind::kBinaryStructuralJoin:
       return "binary-structural-join";
     case OperatorKind::kPathStackJoin:
@@ -208,7 +206,6 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
   LOTUSX_RETURN_IF_ERROR(query.Validate());
   PhysicalPlan plan;
   plan.query = query;
-  plan.schema_prune = hints.schema_prune_streams;
   plan.estimate = EstimateSelectivity(indexed_, query);
 
   // Resolve the join algorithm: kAuto runs the cheapest join that can
@@ -253,8 +250,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     return static_cast<int>(plan.ops.size()) - 1;
   };
 
-  // Leaf operators: one scan (optionally wrapped by a schema prune) per
-  // stream the chosen algorithm reads — TJFast touches leaf streams only.
+  // Leaf operators: one scan per stream the chosen algorithm reads —
+  // TJFast touches leaf streams only.
   std::vector<QueryNodeId> scan_nodes;
   if (plan.algorithm == Algorithm::kTJFast) {
     scan_nodes = query.Leaves();
@@ -288,20 +285,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const TwigQuery& query,
     } else {
       scan.estimated_cost = plan.estimate.node_stream_size[qi];
     }
-    int top = add_op(std::move(scan));
-    if (plan.schema_prune) {
-      OperatorNode prune;
-      prune.kind = OperatorKind::kSchemaPrune;
-      prune.query_node = q;
-      prune.detail = "DataGuide-feasible positions";
-      prune.estimated_rows =
-          plan.estimate.node_schema_occurrences[qi] *
-          plan.estimate.node_predicate_selectivity[qi];
-      prune.estimated_cost = plan.estimate.node_stream_size[qi];
-      prune.children = {top};
-      top = add_op(std::move(prune));
-    }
-    join_inputs.push_back(top);
+    join_inputs.push_back(add_op(std::move(scan)));
   }
 
   OperatorNode join;

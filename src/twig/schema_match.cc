@@ -126,5 +126,22 @@ std::vector<std::vector<index::PathId>> SchemaBindings(
   return bindings;
 }
 
+std::map<xml::TagId, uint64_t> TagsBelow(
+    const index::DataGuide& guide, const std::vector<index::PathId>& paths,
+    Axis axis) {
+  std::map<xml::TagId, uint64_t> weights;
+  for (PathId p : paths) {
+    if (axis == Axis::kChild) {
+      for (xml::TagId tag : guide.ChildTags(p)) {
+        weights[tag] += guide.ChildTagCount(p, tag);
+      }
+    } else {
+      for (xml::TagId tag : guide.DescendantTags(p)) {
+        weights[tag] += guide.DescendantTagCount(p, tag);
+      }
+    }
+  }
+  return weights;
+}
 
 }  // namespace lotusx::twig

@@ -1,6 +1,8 @@
 #ifndef LOTUSX_TWIG_SCHEMA_MATCH_H_
 #define LOTUSX_TWIG_SCHEMA_MATCH_H_
 
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "index/indexed_document.h"
@@ -24,6 +26,16 @@ namespace lotusx::twig {
 /// orders of magnitude smaller than the document.
 std::vector<std::vector<index::PathId>> SchemaBindings(
     const index::IndexedDocument& indexed, const TwigQuery& query);
+
+/// The tags that occur one `axis` step below `paths` (children for
+/// kChild, any depth for kDescendant), each weighted by its occurrences
+/// there summed over the paths. Nested paths (recursive tags) may count
+/// an element twice: the sum is a ranking weight, not a cardinality.
+/// Position-aware tag completion and the rewriter's tag substitution
+/// both rank by it.
+std::map<xml::TagId, uint64_t> TagsBelow(
+    const index::DataGuide& guide, const std::vector<index::PathId>& paths,
+    Axis axis);
 
 }  // namespace lotusx::twig
 

@@ -54,8 +54,6 @@ SelectivityEstimate EstimateSelectivity(
   SelectivityEstimate estimate;
   estimate.node_cardinality.assign(static_cast<size_t>(query.size()), 0.0);
   estimate.node_stream_size.assign(static_cast<size_t>(query.size()), 0.0);
-  estimate.node_schema_occurrences.assign(static_cast<size_t>(query.size()),
-                                          0.0);
   estimate.node_predicate_selectivity.assign(
       static_cast<size_t>(query.size()), 1.0);
   estimate.node_depth.assign(static_cast<size_t>(query.size()), 0.0);
@@ -83,7 +81,6 @@ SelectivityEstimate EstimateSelectivity(
           static_cast<double>(guide.node(p).count) * guide.node(p).depth;
     }
     double selectivity = PredicateSelectivity(indexed, query.node(q));
-    estimate.node_schema_occurrences[static_cast<size_t>(q)] = occurrences;
     if (occurrences > 0) {
       estimate.node_depth[static_cast<size_t>(q)] =
           weighted_depth / occurrences;

@@ -16,7 +16,7 @@ namespace lotusx::twig {
 struct SelectivityEstimate {
   /// Per-node DataGuide positions: SchemaBindings' exact set of paths
   /// (ascending PathId) the node binds in some schema-level embedding.
-  /// The one DataGuide walk of a plan; schema pruning, EXPLAIN and the
+  /// The one DataGuide walk of a plan; the estimates below and the
   /// schema-empty short-circuit all read it from here. An empty set
   /// proves the query has no match (DESIGN.md "Schema-empty means
   /// empty").
@@ -26,9 +26,6 @@ struct SelectivityEstimate {
   /// Per-node raw candidate stream length: tag occurrences, or the whole
   /// document for "*" — what a stream scan reads before any filtering.
   std::vector<double> node_stream_size;
-  /// Per-node occurrences over the node's DataGuide-feasible paths (the
-  /// stream after schema pruning, before predicate filtering).
-  std::vector<double> node_schema_occurrences;
   /// Per-node selectivity of the value predicate (1.0 when absent).
   std::vector<double> node_predicate_selectivity;
   /// Per-node mean DataGuide depth of the node's feasible paths, weighted

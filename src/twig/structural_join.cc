@@ -77,7 +77,6 @@ std::vector<EdgePair> StackTreeJoin(const xml::Document& document,
 
 QueryResult StructuralJoinEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings,
     bool reorder_joins, EvalContext* ctx) {
   EvalContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
@@ -92,11 +91,7 @@ QueryResult StructuralJoinEvaluate(
   std::vector<CandidateStream> candidates;
   candidates.reserve(static_cast<size_t>(query.size()));
   for (QueryNodeId q = 0; q < query.size(); ++q) {
-    candidates.push_back(OpenCandidates(
-        indexed, query, q, ctx,
-        schema_bindings == nullptr
-            ? nullptr
-            : &(*schema_bindings)[static_cast<size_t>(q)]));
+    candidates.push_back(OpenCandidates(indexed, query, q, ctx));
     if (candidates[static_cast<size_t>(q)].count() == 0) {
       result.stats.candidates_scanned = ElementsRead(candidates);
       FillPostingStats(*ctx, &result.stats);

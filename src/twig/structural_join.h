@@ -17,9 +17,7 @@ namespace lotusx::twig {
 /// exactly what experiment E3 demonstrates.
 ///
 /// Order constraints are NOT applied here; the plan post-filters the
-/// complete matches (order-filter operator). `schema_bindings`, when non-null (one sorted PathId list per query
-/// node, from SchemaBindings), prunes each input stream to feasible
-/// positions before joining.
+/// complete matches (order-filter operator).
 ///
 /// With `reorder_joins`, edges are processed greedily by candidate-stream
 /// size (parent-first constraint respected) instead of query order — the
@@ -30,7 +28,6 @@ namespace lotusx::twig {
 /// is created when null (direct calls in tests).
 QueryResult StructuralJoinEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     bool reorder_joins = false, EvalContext* ctx = nullptr);
 
 }  // namespace lotusx::twig

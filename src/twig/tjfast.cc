@@ -107,7 +107,6 @@ class PathAligner {
 
 QueryResult TjFastEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings,
     EvalContext* ctx) {
   EvalContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
@@ -127,11 +126,7 @@ QueryResult TjFastEvaluate(
   for (size_t p = 0; p < paths.size(); ++p) {
     solutions[p].stride = paths[p].size();
     QueryNodeId leaf = paths[p].back();
-    streams.push_back(OpenCandidates(
-        indexed, query, leaf, ctx,
-        schema_bindings == nullptr
-            ? nullptr
-            : &(*schema_bindings)[static_cast<size_t>(leaf)]));
+    streams.push_back(OpenCandidates(indexed, query, leaf, ctx));
   }
   // Smallest leaf stream first (ties in query order): its solutions bound
   // where the later, larger leaf streams can still join.

@@ -32,7 +32,6 @@ namespace lotusx::twig {
 /// partial tuples that violate them.
 QueryResult TjFastEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings = nullptr,
     EvalContext* ctx = nullptr);
 
 }  // namespace lotusx::twig

@@ -23,7 +23,6 @@ constexpr xml::TagId kAnyElement = -2;
 class TwigStackRun {
  public:
   TwigStackRun(const index::IndexedDocument& indexed, const TwigQuery& query,
-               const std::vector<std::vector<index::PathId>>* schema_bindings,
                EvalContext* ctx)
       : document_(indexed.document()),
         query_(query),
@@ -32,11 +31,7 @@ class TwigStackRun {
     streams_.reserve(static_cast<size_t>(query.size()));
     stream_tags_.reserve(static_cast<size_t>(query.size()));
     for (QueryNodeId q = 0; q < query.size(); ++q) {
-      streams_.push_back(OpenCandidates(
-          indexed, query, q, ctx,
-          schema_bindings == nullptr
-              ? nullptr
-              : &(*schema_bindings)[static_cast<size_t>(q)]));
+      streams_.push_back(OpenCandidates(indexed, query, q, ctx));
       const std::string& tag = query.node(q).tag;
       stream_tags_.push_back(tag == "*" ? kAnyElement
                                         : document_.FindTag(tag));
@@ -215,11 +210,10 @@ class TwigStackRun {
 
 QueryResult TwigStackEvaluate(
     const index::IndexedDocument& indexed, const TwigQuery& query,
-    const std::vector<std::vector<index::PathId>>* schema_bindings,
     EvalContext* ctx) {
   EvalContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  return TwigStackRun(indexed, query, schema_bindings, ctx).Run();
+  return TwigStackRun(indexed, query, ctx).Run();
 }
 
 }  // namespace lotusx::twig

@@ -111,7 +111,7 @@ TEST(FingerprintTest, EveryEvalOptionFieldFeedsTheFingerprint) {
   // sizeof tripwire: if EvalOptions grows, fingerprint.cc's
   // static_assert fires at build time and this sweep must learn the new
   // field. Keep the two in lockstep.
-  static_assert(sizeof(EvalOptions) == 8,
+  static_assert(sizeof(EvalOptions) == 4,
                 "EvalOptions changed: add the new field to this sweep and "
                 "to FingerprintQuery");
   const TwigQuery query = BaseQuery();
@@ -127,11 +127,6 @@ TEST(FingerprintTest, EveryEvalOptionFieldFeedsTheFingerprint) {
     EvalOptions o;
     o.algorithm = Algorithm::kStructuralJoinReordered;
     variants.emplace_back("algorithm=structural-join+reorder", o);
-  }
-  {
-    EvalOptions o;
-    o.schema_prune_streams = true;
-    variants.emplace_back("schema_prune_streams", o);
   }
 
   std::set<uint64_t> seen = {base};

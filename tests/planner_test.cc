@@ -261,17 +261,6 @@ TEST(PlannerTest, TwigStackScansEveryQueryNode) {
   EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kMergeExpand), 1);
 }
 
-TEST(PlannerTest, SchemaPruneHintWrapsEveryScan) {
-  auto indexed = MustIndex(kBibXml);
-  plan::PlannerHints hints;
-  hints.schema_prune_streams = true;
-  auto plan = plan::Planner(indexed).Plan(Q("//article[author]/title"), hints);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->schema_prune);
-  EXPECT_EQ(CountOperators(*plan, plan::OperatorKind::kSchemaPrune),
-            CountOperators(*plan, plan::OperatorKind::kStreamScan));
-}
-
 TEST(PlannerTest, ForcedAlgorithmIsHonored) {
   auto indexed = MustIndex(kBibXml);
   plan::PlannerHints hints;
@@ -394,21 +383,14 @@ TEST_P(PlanEquivalenceTest, AllPlansReturnTheOracleMatchSet) {
       TwigQuery query = Q(text);
       if (GetParam() == Algorithm::kPathStack && !query.IsPath()) continue;
       std::vector<Match> expected = BruteForceMatches(indexed, query);
-      // Schema pruning changes the plan's shape but must never change its
-      // answers.
-      for (bool prune : {false, true}) {
-        plan::PlannerHints hints;
-        hints.algorithm = GetParam();
-        hints.schema_prune_streams = prune;
-        auto plan = plan::Planner(indexed).Plan(query, hints);
-        ASSERT_TRUE(plan.ok()) << text;
-        auto result = plan::ExecutePlan(indexed, &*plan);
-        ASSERT_TRUE(result.ok())
-            << text << ": " << result.status().ToString();
-        EXPECT_EQ(result->matches, expected)
-            << "query=" << text << " algorithm=" << AlgorithmName(GetParam())
-            << " prune=" << prune;
-      }
+      plan::PlannerHints hints;
+      hints.algorithm = GetParam();
+      auto plan = plan::Planner(indexed).Plan(query, hints);
+      ASSERT_TRUE(plan.ok()) << text;
+      auto result = plan::ExecutePlan(indexed, &*plan);
+      ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+      EXPECT_EQ(result->matches, expected)
+          << "query=" << text << " algorithm=" << AlgorithmName(GetParam());
     }
   }
 }
@@ -443,8 +425,8 @@ TEST_P(PlanEquivalenceTest, PlanExecutionMatchesEvaluate) {
 TEST_P(PlanEquivalenceTest, CompressedMultiBlockCorpusMatchesOracle) {
   // A generated corpus large enough that every frequent tag stream spans
   // multiple posting blocks (>128 entries), so cursor seeks actually
-  // skip blocks: the sweep pins join x prune on the block-compressed
-  // index against the brute-force oracle.
+  // skip blocks: the sweep pins every join on the block-compressed index
+  // against the brute-force oracle.
   index::IndexedDocument indexed(
       datagen::GenerateDblpWithApproxNodes(41, 5000));
   ASSERT_GT(
@@ -458,19 +440,14 @@ TEST_P(PlanEquivalenceTest, CompressedMultiBlockCorpusMatchesOracle) {
     TwigQuery query = Q(text);
     if (GetParam() == Algorithm::kPathStack && !query.IsPath()) continue;
     std::vector<Match> expected = BruteForceMatches(indexed, query);
-    for (bool prune : {false, true}) {
-      plan::PlannerHints hints;
-      hints.algorithm = GetParam();
-      hints.schema_prune_streams = prune;
-      auto plan = plan::Planner(indexed).Plan(query, hints);
-      ASSERT_TRUE(plan.ok()) << text;
-      auto result = plan::ExecutePlan(indexed, &*plan);
-      ASSERT_TRUE(result.ok()) << text << ": "
-                               << result.status().ToString();
-      EXPECT_EQ(result->matches, expected)
-          << "query=" << text << " algorithm=" << AlgorithmName(GetParam())
-          << " prune=" << prune;
-    }
+    plan::PlannerHints hints;
+    hints.algorithm = GetParam();
+    auto plan = plan::Planner(indexed).Plan(query, hints);
+    ASSERT_TRUE(plan.ok()) << text;
+    auto result = plan::ExecutePlan(indexed, &*plan);
+    ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+    EXPECT_EQ(result->matches, expected)
+        << "query=" << text << " algorithm=" << AlgorithmName(GetParam());
   }
 }
 
@@ -739,29 +716,24 @@ TEST(SchemaEmptyPlanTest, RandomMistakenTwigsMatchTheOracle) {
       schema_empty += unbound ? 1 : 0;
       answered += expected.empty() ? 0 : 1;
       for (Algorithm algorithm : kAllAlgorithms) {
-        for (bool prune : {false, true}) {
-          plan::PlannerHints hints;
-          hints.algorithm = algorithm;
-          hints.schema_prune_streams = prune;
-          auto plan = plan::Planner(indexed).Plan(query, hints);
-          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-          auto result = plan::ExecutePlan(indexed, &*plan);
-          if (algorithm == Algorithm::kPathStack && !query.IsPath()) {
-            EXPECT_FALSE(plan->IsSchemaEmpty());
-            EXPECT_FALSE(result.ok());
-            continue;
-          }
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          EXPECT_EQ(plan->IsSchemaEmpty(), unbound)
-              << AlgorithmName(algorithm) << " prune=" << prune;
-          EXPECT_EQ(result->matches, expected)
-              << AlgorithmName(algorithm) << " prune=" << prune;
-          if (unbound) {
-            EXPECT_EQ(result->stats.candidates_scanned, 0u);
-            EXPECT_EQ(result->stats.posting_blocks_decoded, 0u);
-            EXPECT_EQ(result->stats.intermediate_tuples, 0u);
-            EXPECT_EQ(result->stats.estimated_matches, 0.0);
-          }
+        plan::PlannerHints hints;
+        hints.algorithm = algorithm;
+        auto plan = plan::Planner(indexed).Plan(query, hints);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        auto result = plan::ExecutePlan(indexed, &*plan);
+        if (algorithm == Algorithm::kPathStack && !query.IsPath()) {
+          EXPECT_FALSE(plan->IsSchemaEmpty());
+          EXPECT_FALSE(result.ok());
+          continue;
+        }
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(plan->IsSchemaEmpty(), unbound) << AlgorithmName(algorithm);
+        EXPECT_EQ(result->matches, expected) << AlgorithmName(algorithm);
+        if (unbound) {
+          EXPECT_EQ(result->stats.candidates_scanned, 0u);
+          EXPECT_EQ(result->stats.posting_blocks_decoded, 0u);
+          EXPECT_EQ(result->stats.intermediate_tuples, 0u);
+          EXPECT_EQ(result->stats.estimated_matches, 0.0);
         }
       }
     }
@@ -777,7 +749,7 @@ std::string JoinReportedName(const index::IndexedDocument& indexed,
     case Algorithm::kStructuralJoin:
     case Algorithm::kStructuralJoinReordered:
       return StructuralJoinEvaluate(
-                 indexed, query, nullptr,
+                 indexed, query,
                  algorithm == Algorithm::kStructuralJoinReordered)
           .stats.algorithm;
     case Algorithm::kPathStack:

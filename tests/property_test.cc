@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "datagen/datagen.h"
 #include "tests/test_util.h"
 #include "twig/evaluator.h"
 #include "twig/query_export.h"
 #include "twig/query_parser.h"
+#include "twig/schema_match.h"
 #include "twig/selectivity.h"
 #include "xml/dom_builder.h"
 #include "xml/writer.h"
@@ -159,6 +162,29 @@ std::string QueryDebug(const twig::TwigQuery& query) {
   return out;
 }
 
+/// SchemaBindings' completeness on `matches`, the oracle's answer to
+/// `query`: every match binds each query node at one of that node's
+/// DataGuide positions. Schema-empty plans answer nothing on the strength
+/// of it (DESIGN.md "Schema-empty means empty").
+void ExpectBindingsCoverMatches(const index::IndexedDocument& indexed,
+                                const twig::TwigQuery& query,
+                                const std::vector<twig::Match>& matches) {
+  const std::vector<std::vector<index::PathId>> positions =
+      twig::SchemaBindings(indexed, query);
+  for (const twig::Match& match : matches) {
+    for (twig::QueryNodeId q = 0; q < query.size(); ++q) {
+      const std::vector<index::PathId>& paths =
+          positions[static_cast<size_t>(q)];
+      const xml::NodeId bound = match.bindings[static_cast<size_t>(q)];
+      ASSERT_TRUE(std::binary_search(paths.begin(), paths.end(),
+                                     indexed.dataguide().PathOf(bound)))
+          << "query " << query.ToString() << " node " << q << " binds <"
+          << indexed.document().TagName(bound) << "> id " << bound
+          << " outside its " << paths.size() << " DataGuide positions";
+    }
+  }
+}
+
 class RandomizedSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomizedSweep, AllAlgorithmsMatchOracle) {
@@ -187,17 +213,8 @@ TEST_P(RandomizedSweep, AllAlgorithmsMatchOracle) {
       ASSERT_TRUE(result.ok());
       ASSERT_EQ(result->matches, expected) << query.ToString();
     }
-    // Schema-based stream pruning must never change answers (schema
-    // matching is complete: every real match binds to feasible paths).
-    {
-      twig::EvalOptions options;
-      options.schema_prune_streams = true;
-      auto result = twig::Evaluate(indexed, query, options);
-      ASSERT_TRUE(result.ok());
-      ASSERT_EQ(result->matches, expected)
-          << "schema pruning changed answers for " << query.ToString();
-    }
-    // Neither may selectivity-based join reordering.
+    ExpectBindingsCoverMatches(indexed, query, expected);
+    // Selectivity-based join reordering must never change answers.
     {
       twig::EvalOptions options;
       options.algorithm = twig::Algorithm::kStructuralJoinReordered;
@@ -316,6 +333,52 @@ TEST_P(RandomizedSweep, SelectivityNodeEstimatesAreSoundWithoutPredicates) {
           << query.ToString() << " node " << q;
     }
   }
+}
+
+// Completeness on the generated corpora the benches and servebench use,
+// with a third of the twigs given an equality against the empty literal,
+// which an element without direct text satisfies.
+TEST(SchemaCompletenessTest, RandomTwigsBindAtSchemaPositions) {
+  const index::IndexedDocument corpora[] = {
+      index::IndexedDocument(datagen::GenerateDblpWithApproxNodes(3, 2000)),
+      index::IndexedDocument(datagen::GenerateXmarkWithApproxNodes(5, 2000)),
+      index::IndexedDocument(
+          datagen::GenerateTreebankWithApproxNodes(7, 2000)),
+  };
+  for (const index::IndexedDocument& indexed : corpora) {
+    Random random(41);
+    size_t checked = 0;
+    size_t empty_literal_matches = 0;
+    for (int i = 0; i < 60; ++i) {
+      twig::TwigQuery query = RandomQuery(random, indexed);
+      const auto q = static_cast<twig::QueryNodeId>(
+          random.NextBounded(static_cast<uint64_t>(query.size())));
+      // A wildcard cannot carry an equality.
+      const bool empty_literal =
+          random.NextBool(0.33) && query.node(q).tag != "*";
+      if (empty_literal) {
+        query.SetPredicate(q, twig::ValuePredicate{
+                                  twig::ValuePredicate::Op::kEquals, ""});
+      }
+      ASSERT_TRUE(query.Validate().ok()) << query.ToString();
+      const std::vector<twig::Match> expected =
+          BruteForceMatches(indexed, query);
+      ExpectBindingsCoverMatches(indexed, query, expected);
+      checked += expected.size();
+      if (empty_literal) empty_literal_matches += expected.size();
+    }
+    EXPECT_GE(checked, 100u);
+    EXPECT_GT(empty_literal_matches, 0u);
+  }
+}
+
+TEST(SchemaCompletenessTest, EmptyLiteralBindsTextlessPaths) {
+  index::IndexedDocument indexed(
+      datagen::GenerateDblpWithApproxNodes(3, 2000));
+  const twig::TwigQuery query = twig::ParseQuery(R"(//article[=""])").value();
+  const std::vector<twig::Match> expected = BruteForceMatches(indexed, query);
+  ASSERT_FALSE(expected.empty());
+  ExpectBindingsCoverMatches(indexed, query, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedSweep,

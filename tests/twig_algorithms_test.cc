@@ -377,8 +377,7 @@ const index::IndexedDocument& LongXmark() {
   return indexed;
 }
 
-/// TJFast's matches equal the structural join's, with and without
-/// schema-pruned streams.
+/// TJFast's matches equal the structural join's.
 void ExpectTjFastAgrees(const index::IndexedDocument& indexed,
                         const TwigQuery& query) {
   SCOPED_TRACE(query.ToString());
@@ -387,12 +386,9 @@ void ExpectTjFastAgrees(const index::IndexedDocument& indexed,
   auto expected = Evaluate(indexed, query, options);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   options.algorithm = Algorithm::kTJFast;
-  for (bool prune : {false, true}) {
-    options.schema_prune_streams = prune;
-    auto got = Evaluate(indexed, query, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->matches, expected->matches) << "schema_prune=" << prune;
-  }
+  auto got = Evaluate(indexed, query, options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->matches, expected->matches);
 }
 
 std::vector<xml::NodeId> ElementChildren(const xml::Document& document,
